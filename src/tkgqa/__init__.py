@@ -6,7 +6,7 @@ and an LLM pipeline harness with scripted mock clients for offline runs.
 """
 
 from .answers import ANSWER_KINDS, Answer, FunctionCall
-from .graph import TKG, Fact, Interval, QueryPattern, load_tkg, render_text, save_tkg
+from .graph import TKG, Fact, Interval, load_tkg, render_text, save_tkg
 from .oracle import oracle_answer
 from .solvers import dispatch, function_names, function_specs, schema_bundle
 
@@ -19,7 +19,6 @@ __all__ = [
     "TKG",
     "Fact",
     "Interval",
-    "QueryPattern",
     "load_tkg",
     "save_tkg",
     "render_text",

@@ -26,7 +26,7 @@ from .generator import (
     import_instances,
     verify_instance,
 )
-from .graph import load_tkg, render_text, save_tkg
+from .graph import load_tkg, read_jsonl, render_text, save_tkg
 from .oracle import oracle_answer
 from . import pipelines
 from .pipelines import LiveChatClient, PipelineConfig, make_mock_client, run, temporal_confidence
@@ -97,6 +97,20 @@ def cmd_gen_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_verify_failures(instances, stream) -> int:
+    """Print a VERIFY FAIL line to ``stream`` per instance the oracle disagrees with; their count."""
+    failures = 0
+    for inst in instances:
+        if not verify_instance(inst):
+            failures += 1
+            try:
+                recomputed = oracle_answer(inst.tkg, inst.canonical_call).to_json()
+            except TkgqaError as exc:
+                recomputed = {"error": str(exc)}
+            print(f"VERIFY FAIL {inst.id}: gold={inst.gold.to_json()} oracle={recomputed}", file=stream)
+    return failures
+
+
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
     graph_path = Path(args.graph)
     g = load_tkg(graph_path)
@@ -106,18 +120,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     instances = generate_instances(
         g, per_type=args.per_type, types=types, seed=args.seed, tkg_ref=tkg_ref
     )
-    failures = 0
-    for inst in instances:
-        if not verify_instance(inst):
-            failures += 1
-            try:
-                recomputed = oracle_answer(inst.tkg, inst.canonical_call).to_json()
-            except TkgqaError as exc:
-                recomputed = {"error": str(exc)}
-            print(
-                f"VERIFY FAIL {inst.id}: gold={inst.gold.to_json()} oracle={recomputed}",
-                file=sys.stderr,
-            )
+    failures = _report_verify_failures(instances, sys.stderr)
     if failures:
         print(f"{failures} of {len(instances)} instances failed verification", file=sys.stderr)
         return 1
@@ -128,15 +131,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instances = import_instances(args.dataset)
-    failures = 0
-    for inst in instances:
-        if not verify_instance(inst):
-            failures += 1
-            try:
-                recomputed = oracle_answer(inst.tkg, inst.canonical_call).to_json()
-            except TkgqaError as exc:
-                recomputed = {"error": str(exc)}
-            print(f"VERIFY FAIL {inst.id}: gold={inst.gold.to_json()} oracle={recomputed}")
+    failures = _report_verify_failures(instances, sys.stdout)
     print(f"verified {len(instances) - failures}/{len(instances)} instances")
     return 1 if failures else 0
 
@@ -223,14 +218,7 @@ def cmd_confidence(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else float(config["threshold"])
     pairs = []
-    path = Path(args.input)
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+    for line_no, obj in read_jsonl(args.input):
         if "actual" not in obj or obj["actual"] not in ("knowledge", "temporal"):
             raise ParseError(line_no, "each task needs an 'actual' label of knowledge|temporal")
         pairs.append((obj["actual"], str(obj.get("question", "")), str(obj.get("data", ""))))

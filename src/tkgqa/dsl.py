@@ -41,7 +41,7 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .graph import Fact, Interval, TKG
-from .primitives import DurationPredicate, TimeFilter, merge_intervals, sort_facts
+from .primitives import DurationPredicate, merge_intervals, sort_facts
 from .solvers import dispatch, function_names, function_spec
 
 __all__ = [
@@ -200,6 +200,8 @@ STAGE_ARITIES = {
 
 _KEYWORDS = {"fact", "facts", "let", "call"}
 
+MAX_VALUE_DEPTH = 32  # nesting of (...) and [...] in call arguments
+
 
 class _LineParser:
     def __init__(self, toks: list[_Tok], line_no: int, known_vars: set[str]):
@@ -354,7 +356,9 @@ class _LineParser:
         self.expect("punct", ")")
         return Call(name_tok.text, tuple(args))
 
-    def value(self):
+    def value(self, depth: int = 0):
+        if depth > MAX_VALUE_DEPTH:
+            self.fail(f"values nest deeper than {MAX_VALUE_DEPTH} levels")
         tok = self.peek()
         if tok.kind == "int":
             return IntLit(int(self.next().text))
@@ -367,20 +371,20 @@ class _LineParser:
             return Star()
         if tok.kind == "punct" and tok.text == "(":
             self.next()
-            items = [self.value()]
+            items = [self.value(depth + 1)]
             while self.peek().kind == "punct" and self.peek().text == ",":
                 self.next()
-                items.append(self.value())
+                items.append(self.value(depth + 1))
             self.expect("punct", ")")
             return TupleLit(tuple(items))
         if tok.kind == "punct" and tok.text == "[":
             self.next()
             items = []
             if not (self.peek().kind == "punct" and self.peek().text == "]"):
-                items.append(self.value())
+                items.append(self.value(depth + 1))
                 while self.peek().kind == "punct" and self.peek().text == ",":
                     self.next()
-                    items.append(self.value())
+                    items.append(self.value(depth + 1))
             self.expect("punct", "]")
             return ListLit(tuple(items))
         self.fail(f"bad value {tok.text or 'end of line'!r}")
@@ -558,15 +562,13 @@ class _Interpreter:
             return _FactList(sort_facts(value, endpoint=endpoint, descending=order == "desc"))
         if name == "filter_at":
             t = _int_arg(stage, 0)
-            return _FactList(f for f in value if TimeFilter.at_point(t).matches(f.t0, f.t1))
+            return _FactList(f for f in value if f.interval.contains_point(t))
         if name == "filter_overlap":
-            a, b = _int_arg(stage, 0), _int_arg(stage, 1)
-            flt = TimeFilter.overlaps(a, b)
-            return _FactList(f for f in value if flt.matches(f.t0, f.t1))
+            w = Interval(_int_arg(stage, 0), _int_arg(stage, 1))
+            return _FactList(f for f in value if f.interval.overlaps(w))
         if name == "filter_within":
-            a, b = _int_arg(stage, 0), _int_arg(stage, 1)
-            flt = TimeFilter.contained_in(a, b)
-            return _FactList(f for f in value if flt.matches(f.t0, f.t1))
+            w = Interval(_int_arg(stage, 0), _int_arg(stage, 1))
+            return _FactList(f for f in value if f.interval.within(w))
         if name == "filter_dur":
             op = stage.args[0].text if isinstance(stage.args[0], Token) else None
             if op is None:
@@ -627,8 +629,9 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
     """Run a program under resource limits.
 
     Programs with fact declarations build their own graph and must not be
-    given one; all other programs require ``g``.  Every source, stage and
-    call evaluation consumes one step.
+    given one; all other programs require ``g``.  ``max_facts`` bounds the
+    fact declarations and ``max_statements`` every other statement.  Every
+    source, stage and call evaluation consumes one step.
     """
     limits = limits or Limits()
     decls = program.fact_decls
@@ -636,9 +639,10 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
         raise RuntimeTypeError("program declares facts; do not pass a graph")
     if not decls and g is None:
         raise RuntimeTypeError("program declares no facts; a graph is required")
-    if len(program.statements) > limits.max_statements:
+    statements = len(program.statements) - len(decls)
+    if statements > limits.max_statements:
         raise StepLimitExceededError(
-            f"statement budget {limits.max_statements} exceeded ({len(program.statements)} statements)"
+            f"statement budget {limits.max_statements} exceeded ({statements} statements)"
         )
     if len(decls) > limits.max_facts:
         raise FactLimitExceededError(f"fact budget {limits.max_facts} exceeded ({len(decls)} declared)")
@@ -655,26 +659,6 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
         else:
             result = interp.eval_expr(st.expr)
     return ExecutionResult(value=result, graph=g, steps=interp.steps)
-
-
-def coerce_result(value, answer_kind: str) -> Answer | None:
-    """Coerce a program result to a tagged answer of the given kind, if possible."""
-    if isinstance(value, Answer):
-        return value if value.kind == answer_kind or answer_kind == "time" else None
-    try:
-        if answer_kind == "entity_list" and isinstance(value, list):
-            return Answer.entity_list(value)
-        if answer_kind == "entity" and isinstance(value, str):
-            return Answer.entity(value)
-        if answer_kind == "boolean" and isinstance(value, bool):
-            return Answer.boolean(value)
-        if answer_kind in ("count", "duration", "time_point") and isinstance(value, int):
-            return Answer(answer_kind, value)
-        if answer_kind == "time_interval" and isinstance(value, (tuple, Interval)):
-            return Answer.time_interval(tuple(value))
-    except (ValueError, TypeError):
-        return None
-    return None
 
 
 _FENCE_RE = re.compile(r"```tqdsl\s*\n(.*?)```", re.DOTALL)

@@ -11,6 +11,15 @@ class TkgqaError(Exception):
 # graph construction / serialization
 
 
+class InvalidFactError(TkgqaError):
+    """A fact field has the wrong type or is empty."""
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"invalid fact at index {index}: {reason}")
+
+
 class InvalidIntervalError(TkgqaError):
     """A fact interval has t0 > t1."""
 

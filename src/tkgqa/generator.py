@@ -31,8 +31,9 @@ from .errors import (
     TkgqaError,
     UnsatisfiableTypeError,
 )
-from .graph import Fact, TKG, load_tkg, render_text
+from .graph import Fact, TKG, load_tkg, read_jsonl, render_text, write_jsonl
 from .oracle import oracle_answer
+from .primitives import sort_facts
 from .solvers import dispatch, function_names
 
 __all__ = [
@@ -369,7 +370,7 @@ def _anchor_hitting(rng: random.Random, g: TKG, targets: list[Fact], point: str,
         if anchor is None:
             return None
         t = anchor.t0 if point == "start" else anchor.t1
-        if any(f.t0 <= t <= f.t1 for f in targets):
+        if any(f.interval.contains_point(t) for f in targets):
             return anchor
     return None
 
@@ -392,7 +393,7 @@ def _sample_before_after(rng, g, tpl):
     matches = _pattern_matches(g, args)
     if len(matches) < 2:
         return None
-    ordered = sorted(matches, key=lambda x: (x.t0, x.t1, x.s, x.r, x.o))
+    ordered = sort_facts(matches)
     direction = rng.choice(("before", "after"))
     # pick a pivot that has a neighbour in the chosen direction
     idx = rng.randrange(1, len(ordered)) if direction == "before" else rng.randrange(len(ordered) - 1)
@@ -527,7 +528,7 @@ def _sample_in_between(rng, g, tpl):
     matches = _pattern_matches(g, args)
     if len(matches) < 3:
         return None
-    ordered = sorted(matches, key=lambda x: (x.t0, x.t1, x.s, x.r, x.o))
+    ordered = sort_facts(matches)
     entities = _wildcard_entities(args, ordered)
     i = rng.randrange(len(ordered) - 2)
     j = rng.randrange(i + 2, len(ordered))
@@ -815,12 +816,7 @@ def verify_instance(instance: TaskInstance) -> bool:
 
 
 def export_instances(instances: Iterable[TaskInstance], sink: str | Path | IO[str]) -> None:
-    lines = [json.dumps(inst.to_json(), sort_keys=True) for inst in instances]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
-    else:
-        sink.write(payload)
+    write_jsonl([json.dumps(inst.to_json(), sort_keys=True) for inst in instances], sink)
 
 
 def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_cache: dict) -> TaskInstance:
@@ -838,8 +834,8 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_cache: di
         graph = graph_cache[path]
     elif isinstance(tkg_field, list):
         try:
-            graph = TKG(Fact(f[0], f[1], f[2], f[3], f[4]) for f in tkg_field)
-        except (TypeError, IndexError, TkgqaError) as exc:
+            graph = TKG(tkg_field)
+        except TkgqaError as exc:
             raise ParseError(line_no, f"bad inline tkg: {exc}") from exc
     else:
         raise ParseError(line_no, "tkg must be a path string or an inline fact array")
@@ -867,15 +863,4 @@ def import_instances(source: str | Path, base_dir: str | Path | None = None) -> 
     path = Path(source)
     base = Path(base_dir) if base_dir is not None else path.parent
     graph_cache: dict = {}
-    instances = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(line_no, "instance line is not a JSON object")
-        instances.append(_instance_from_json(line_no, obj, base, graph_cache))
-    return instances
+    return [_instance_from_json(line_no, obj, base, graph_cache) for line_no, obj in read_jsonl(path)]

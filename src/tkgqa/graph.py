@@ -15,15 +15,16 @@ import random
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DuplicateFactError, InvalidIntervalError, ParseError
+from .errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 
 __all__ = [
     "Interval",
     "Fact",
-    "QueryPattern",
     "TKG",
     "save_tkg",
     "load_tkg",
+    "read_jsonl",
+    "write_jsonl",
     "render_text",
     "DEFAULT_FACT_TEMPLATES",
 ]
@@ -67,19 +68,31 @@ class Fact(NamedTuple):
         return self.t1 - self.t0
 
 
-class QueryPattern(NamedTuple):
-    """Pattern over (s, r, o); ``None`` fields are wildcards."""
+def _check_fact(index: int, raw) -> Fact:
+    """``raw`` as a :class:`Fact`, or the error for its first invalid field.
 
-    s: str | None = None
-    r: str | None = None
-    o: str | None = None
+    The one validation of fact fields: ``s``, ``r`` and ``o`` are non-empty
+    strings, ``t0`` and ``t1`` are integers (not booleans) with t0 <= t1.
+    """
+    try:
+        f = raw if isinstance(raw, Fact) else Fact(*raw)
+    except TypeError:
+        raise InvalidFactError(index, f"expected the five fields (s, r, o, t0, t1), got {raw!r}") from None
+    s, r, o, t0, t1 = f
+    if not (isinstance(s, str) and isinstance(r, str) and isinstance(o, str) and s and r and o):
+        raise InvalidFactError(index, f"s, r and o must be non-empty strings, got {(s, r, o)!r}")
+    if type(t0) is not int or type(t1) is not int:  # bool is an int subclass
+        raise InvalidFactError(index, f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
+    if t0 > t1:
+        raise InvalidIntervalError(index=index, t0=t0, t1=t1)
+    return f
 
 
 class TKG:
     """Immutable fact store with entity/relation vocabularies.
 
-    Facts are validated (interval order) and deduplicated at construction;
-    insertion order is the canonical iteration order.
+    Facts are validated (see :func:`_check_fact`) and deduplicated at
+    construction; insertion order is the canonical iteration order.
     """
 
     __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o")
@@ -93,11 +106,7 @@ class TKG:
         entities: set[str] = set()
         relations: set[str] = set()
         for i, raw in enumerate(facts):
-            f = raw if isinstance(raw, Fact) else Fact(*raw)
-            if not (f.s and f.r and f.o):
-                raise ValueError(f"fact at index {i} has an empty id: {f!r}")
-            if f.t0 > f.t1:
-                raise InvalidIntervalError(index=i, t0=f.t0, t1=f.t1)
+            f = _check_fact(i, raw)
             if f in seen:
                 raise DuplicateFactError(index=i, fact=f)
             seen.add(f)
@@ -158,22 +167,34 @@ class TKG:
                 out.append(f)
         return out
 
-    def query_pattern(self, p: QueryPattern) -> list[Fact]:
-        return self.query(p.s, p.r, p.o)
-
 
 # ---------------------------------------------------------------------------
-# serialization: JSON Lines, keys exactly s, r, o, t0, t1
-
-_FACT_KEYS = ("s", "r", "o", "t0", "t1")
+# JSON Lines framing, shared by fact, dataset, row and confidence files
 
 
-def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
-    """Write one JSON object per fact, preserving order."""
-    lines = [
-        json.dumps({"s": f.s, "r": f.r, "o": f.o, "t0": f.t0, "t1": f.t1})
-        for f in g.facts
-    ]
+def read_jsonl(source: str | Path | IO[str]) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) for each non-blank line.
+
+    Raises :class:`ParseError` on invalid JSON or a line that is not an object.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as lines:
+            yield from read_jsonl(lines)
+        return
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, "line is not a JSON object")
+        yield line_no, obj
+
+
+def write_jsonl(lines: list[str], sink: str | Path | IO[str]) -> None:
+    """Write already-encoded lines, each followed by a newline."""
     payload = "\n".join(lines) + ("\n" if lines else "")
     if isinstance(sink, (str, Path)):
         Path(sink).write_text(payload, encoding="utf-8")
@@ -181,38 +202,38 @@ def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
         sink.write(payload)
 
 
-def _parse_fact_line(line_no: int, line: str) -> Fact:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(line_no, "fact line is not a JSON object")
-    if set(obj) != set(_FACT_KEYS):
-        raise ParseError(line_no, f"fact keys must be exactly {list(_FACT_KEYS)}, got {sorted(obj)}")
-    for key in ("s", "r", "o"):
-        if not isinstance(obj[key], str) or not obj[key]:
-            raise ParseError(line_no, f"field {key!r} must be a non-empty string")
-    for key in ("t0", "t1"):
-        if isinstance(obj[key], bool) or not isinstance(obj[key], int):
-            raise ParseError(line_no, f"field {key!r} must be an integer")
-    if obj["t0"] > obj["t1"]:
-        raise InvalidIntervalError(index=line_no - 1, t0=obj["t0"], t1=obj["t1"])
-    return Fact(obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"])
+# ---------------------------------------------------------------------------
+# fact files: keys exactly s, r, o, t0, t1
+
+_FACT_KEYS = {"s", "r", "o", "t0", "t1"}
+
+
+def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
+    """Write one JSON object per fact, preserving order."""
+    write_jsonl([json.dumps({"s": f.s, "r": f.r, "o": f.o, "t0": f.t0, "t1": f.t1}) for f in g.facts], sink)
 
 
 def load_tkg(source: str | Path | IO[str]) -> TKG:
-    """Parse a fact file written by :func:`save_tkg`; order is significant."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    facts = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        facts.append(_parse_fact_line(line_no, line))
-    return TKG(facts)
+    """Parse a fact file written by :func:`save_tkg`; order is significant.
+
+    Field errors are reported as :class:`ParseError` with the file line.
+    """
+    line_no = 0
+
+    def facts() -> Iterator[Fact]:
+        nonlocal line_no
+        for line_no, obj in read_jsonl(source):
+            if obj.keys() != _FACT_KEYS:
+                raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
+            yield Fact(**obj)
+
+    # TKG checks each fact as it is read, so line_no is the line of a rejected fact
+    try:
+        return TKG(facts())
+    except InvalidFactError as exc:
+        raise ParseError(line_no, exc.reason) from None
+    except InvalidIntervalError as exc:
+        raise InvalidIntervalError(index=line_no - 1, t0=exc.t0, t1=exc.t1) from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ fully deterministic and offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
@@ -29,15 +30,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .answers import Answer, FunctionCall
-from .dsl import (
-    ErrorValue,
-    Limits,
-    Program,
-    coerce_result,
-    execute,
-    extract_fenced_source,
-    parse,
-)
+from .dsl import ErrorValue, Limits, Program, execute, extract_fenced_source, parse
 from .errors import (
     AnswerParseError,
     ArgumentTypeError,
@@ -433,14 +426,18 @@ def _first_json_object(text: str) -> dict | None:
 
 
 def _reply_json(reply: str) -> dict | None:
-    for block in _JSON_FENCE_RE.findall(reply):
-        try:
-            obj = json.loads(block)
-        except json.JSONDecodeError:
-            obj = _first_json_object(block)
-        if isinstance(obj, dict):
-            return obj
-    return _first_json_object(reply)
+    """The first JSON object of a reply, or None; the one JSON path for replies."""
+    try:
+        for block in _JSON_FENCE_RE.findall(reply):
+            try:
+                obj = json.loads(block)
+            except json.JSONDecodeError:
+                obj = _first_json_object(block)
+            if isinstance(obj, dict):
+                return obj
+        return _first_json_object(reply)
+    except RecursionError:  # nesting too deep for the decoder
+        return None
 
 
 def extract_answer(reply: str) -> tuple[str, object]:
@@ -475,7 +472,12 @@ def _coerce_int(value) -> int | None:
 
 
 def coerce_answer(answer_type: str, raw) -> Answer | None:
-    """Best-effort coercion of a parsed reply value to a tagged answer."""
+    """Best-effort coercion of a reply value or tqdsl result to a tagged answer.
+
+    An :class:`Answer` (a solver result) coerces only to its own kind.
+    """
+    if isinstance(raw, Answer):
+        return raw if raw.kind == answer_type else None
     try:
         if answer_type == "entity":
             return Answer.entity(raw.strip()) if isinstance(raw, str) else None
@@ -565,22 +567,30 @@ def _statement(instance: TaskInstance, technique: str, cfg: PipelineConfig) -> s
     )
 
 
-def _finish_with_reply(result: PipelineResult, instance: TaskInstance, reply: str) -> None:
+def _finish(result: PipelineResult, instance: TaskInstance, raw, explanation: str, error: str | None) -> None:
+    """Record a run's outcome: the one place that sets its answer fields.
+
+    ``raw`` is the reply value or program result; ``error`` says why there
+    is no answer, otherwise ``raw`` is coerced to the instance's answer type.
+    """
+    result.raw_answer = raw.to_json()["value"] if isinstance(raw, Answer) else raw
+    if error is None:
+        result.explanation = explanation
+        result.answer = coerce_answer(instance.answer_type, raw)
+        if result.answer is None:
+            error = f"could not coerce {result.raw_answer!r} to {instance.answer_type}"
+    if error is not None:
+        result.parse_error = True
+        result.errors.append(error)
+
+
+def _read_reply(reply: str) -> tuple[object, str, str | None]:
+    """(raw answer, explanation, error) of a final reply."""
     try:
         explanation, raw = extract_answer(reply)
     except AnswerParseError as exc:
-        result.parse_error = True
-        result.raw_answer = reply
-        result.errors.append(str(exc))
-        return
-    result.explanation = explanation
-    result.raw_answer = raw
-    answer = coerce_answer(instance.answer_type, raw)
-    if answer is None:
-        result.parse_error = True
-        result.errors.append(f"could not coerce {raw!r} to {instance.answer_type}")
-    else:
-        result.answer = answer
+        return reply, "", str(exc)
+    return raw, explanation, None
 
 
 def _run_direct(instance, chain, cfg):
@@ -664,79 +674,56 @@ def _run_tot(instance, chain, cfg, result):
     )
 
 
-def _extract_program(reply: str, result: PipelineResult):
+def _extract_program(reply: str, result: PipelineResult) -> Program:
+    """Parse the reply's fenced tqdsl block, keeping its source in ``dsl_programs``."""
     source = extract_fenced_source(reply)
     if source is None:
-        result.errors.append("reply contains no fenced tqdsl block")
-        return None
+        raise TkgqaError("reply contains no fenced tqdsl block")
     result.dsl_programs.append(source.strip())
     try:
         return parse(source)
     except DslError as exc:
-        result.errors.append(f"tqdsl parse error: {exc}")
-        return None
+        raise TkgqaError(f"tqdsl parse error: {exc}") from exc
+
+
+def _structure_graph(chain: _Chain, cfg: PipelineConfig, result: PipelineResult) -> TKG:
+    """Have the model restate the data as fact declarations; the graph they build.
+
+    The graph is empty when structuring yields nothing usable, so a ``_s``
+    technique never falls back to the gold graph.
+    """
+    reply = chain.ask(_prompt("structure_data", cfg.prompts_dir))
+    try:
+        return execute(_extract_program(reply, result), None, cfg.dsl_limits).graph
+    except TkgqaError as exc:
+        result.errors.append(f"structuring failed: {exc}")
+        return TKG()
 
 
 def _run_cote(instance, chain, cfg, result, structured: bool):
     statement = _statement(instance, "cote" if structured else "cote_s", cfg)
     chain.ask(_prompt("exec_analyze", cfg.prompts_dir).format(task=statement))
-    decls = ()
-    if not structured:
-        structure_reply = chain.ask(_prompt("structure_data", cfg.prompts_dir))
-        structure_program = _extract_program(structure_reply, result)
-        if structure_program is not None:
-            decls = structure_program.fact_decls
+    graph = instance.tkg if structured else _structure_graph(chain, cfg, result)
     solve_reply = chain.ask(_prompt("exec_solve", cfg.prompts_dir))
-    program = _extract_program(solve_reply, result)
-    if program is None:
-        result.parse_error = True
-        result.raw_answer = solve_reply
-        return
-    if not structured:
-        program = Program(tuple(decls) + program.statements)
     try:
-        execution = execute(program, None if program.fact_decls else instance.tkg, cfg.dsl_limits)
-    except (DslError, TkgqaError) as exc:
-        result.errors.append(f"tqdsl execution error: {exc}")
-        result.parse_error = True
-        return
-    value = execution.value
+        value = execute(_extract_program(solve_reply, result), graph, cfg.dsl_limits).value
+    except TkgqaError as exc:
+        return solve_reply, "", str(exc)
     if isinstance(value, ErrorValue):
-        result.errors.append(f"{value.error}: {value.message}")
-        result.parse_error = True
-        result.raw_answer = value.message
-        return
-    answer = coerce_result(value, instance.answer_type)
-    result.raw_answer = value if not isinstance(value, Answer) else value.to_json()["value"]
-    if answer is None:
-        result.parse_error = True
-        result.errors.append(f"program result does not coerce to {instance.answer_type}")
-    else:
-        result.answer = answer
-        result.explanation = "computed by the executed tqdsl program"
+        return value.message, "", f"{value.error}: {value.message}"
+    return value, "computed by the executed tqdsl program", None
 
 
-def _structure_graph(reply: str, cfg: PipelineConfig, result: PipelineResult) -> TKG:
-    program = _extract_program(reply, result)
-    if program is None or not program.fact_decls:
-        result.errors.append("structuring step produced no usable fact declarations")
-        return TKG()
-    try:
-        return execute(program, None, cfg.dsl_limits).graph
-    except (DslError, TkgqaError) as exc:
-        result.errors.append(f"structuring execution error: {exc}")
-        return TKG()
+@functools.cache
+def _schema_text() -> str:
+    return json.dumps(schema_bundle(), indent=2)
 
 
 def _run_cotapi(instance, chain, cfg, result, structured: bool):
     statement = _statement(instance, "cotapi" if structured else "cotapi_s", cfg)
     chain.ask(_prompt("exec_analyze", cfg.prompts_dir).format(task=statement))
-    graph = instance.tkg
-    if not structured:
-        structure_reply = chain.ask(_prompt("structure_data", cfg.prompts_dir))
-        graph = _structure_graph(structure_reply, cfg, result)
-    schema_text = json.dumps(schema_bundle(), indent=2)
-    select_reply = chain.ask(_prompt("api_select", cfg.prompts_dir).format(schema=schema_text))
+    graph = instance.tkg if structured else _structure_graph(chain, cfg, result)
+    select_reply = chain.ask(_prompt("api_select", cfg.prompts_dir).format(schema=_schema_text()))
     payload: dict
     try:
         call = select_function(select_reply)
@@ -765,20 +752,19 @@ def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | No
     chain = _Chain(client, cfg, result)
     started = time.perf_counter()
     try:
-        if technique == "direct":
-            _finish_with_reply(result, instance, _run_direct(instance, chain, cfg))
+        if technique in ("cote", "cote_s"):
+            outcome = _run_cote(instance, chain, cfg, result, structured=technique == "cote")
+        elif technique == "direct":
+            outcome = _read_reply(_run_direct(instance, chain, cfg))
         elif technique == "cot":
-            _finish_with_reply(result, instance, _run_cot(instance, chain, cfg))
+            outcome = _read_reply(_run_cot(instance, chain, cfg))
         elif technique == "cotr":
-            _finish_with_reply(result, instance, _run_cotr(instance, chain, cfg, result))
+            outcome = _read_reply(_run_cotr(instance, chain, cfg, result))
         elif technique == "tot":
-            _finish_with_reply(result, instance, _run_tot(instance, chain, cfg, result))
-        elif technique in ("cote", "cote_s"):
-            _run_cote(instance, chain, cfg, result, structured=technique == "cote")
-        elif technique in ("cotapi", "cotapi_s"):
-            _finish_with_reply(
-                result, instance, _run_cotapi(instance, chain, cfg, result, structured=technique == "cotapi")
-            )
+            outcome = _read_reply(_run_tot(instance, chain, cfg, result))
+        else:
+            outcome = _read_reply(_run_cotapi(instance, chain, cfg, result, structured=technique == "cotapi"))
+        _finish(result, instance, *outcome)
     finally:
         result.wall_time = time.perf_counter() - started
     return result

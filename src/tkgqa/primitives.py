@@ -1,25 +1,22 @@
 """Low-level temporal algorithms shared by all question solvers.
 
-Four primitives (chronological sort, time-point/overlap/containment filters,
-counting, duration filters) plus interval-union merging.  All functions are
-pure over immutable inputs; duration of a fact is ``t1 - t0``.
+The canonical fact order (:func:`tie_break_key`, :func:`sort_facts`),
+duration predicates and interval-union merging.  Interval membership tests
+live on :class:`tkgqa.graph.Interval`.  All functions are pure over immutable
+inputs; duration of a fact is ``t1 - t0``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Fact, Interval
 
 __all__ = [
     "sort_facts",
-    "TimeFilter",
-    "filter_time",
-    "count_facts",
     "DurationPredicate",
-    "filter_duration",
     "merge_intervals",
     "tie_break_key",
 ]
@@ -39,56 +36,8 @@ def sort_facts(facts: Iterable[Fact], endpoint: str = "start", descending: bool 
     """
     if endpoint not in ("start", "end"):
         raise ValueError(f"endpoint must be 'start' or 'end', got {endpoint!r}")
-
-    def key(f: Fact) -> tuple:
-        lead = f.t0 if endpoint == "start" else f.t1
-        return (lead, f.t0, f.t1, f.s, f.r, f.o)
-
+    key = tie_break_key if endpoint == "start" else lambda f: (f.t1, *tie_break_key(f))
     return sorted(facts, key=key, reverse=descending)
-
-
-@dataclass(frozen=True)
-class TimeFilter:
-    """Predicate over a fact's interval.
-
-    Kinds: ``at_point(t)`` keeps facts with t0 <= t <= t1; ``overlaps(a, b)``
-    keeps facts whose interval intersects [a, b]; ``contained_in(a, b)`` keeps
-    facts with a <= t0 and t1 <= b.
-    """
-
-    kind: str
-    a: int
-    b: int
-
-    @classmethod
-    def at_point(cls, t: int) -> "TimeFilter":
-        return cls("at_point", t, t)
-
-    @classmethod
-    def overlaps(cls, a: int, b: int) -> "TimeFilter":
-        return cls("overlaps", a, b)
-
-    @classmethod
-    def contained_in(cls, a: int, b: int) -> "TimeFilter":
-        return cls("contained_in", a, b)
-
-    def matches(self, t0: int, t1: int) -> bool:
-        if self.kind == "at_point":
-            return t0 <= self.a <= t1
-        if self.kind == "overlaps":
-            return t0 <= self.b and self.a <= t1
-        if self.kind == "contained_in":
-            return self.a <= t0 and t1 <= self.b
-        raise ValueError(f"unknown TimeFilter kind {self.kind!r}")
-
-
-def filter_time(facts: Iterable[Fact], flt: TimeFilter) -> list[Fact]:
-    """Order-preserving subset of facts matching the time filter."""
-    return [f for f in facts if flt.matches(f.t0, f.t1)]
-
-
-def count_facts(facts: Sequence[Fact]) -> int:
-    return len(facts)
 
 
 _COMPARATORS = {
@@ -116,11 +65,6 @@ class DurationPredicate:
 
     def matches(self, duration: int) -> bool:
         return _COMPARATORS[self.comparator](duration, self.threshold)
-
-
-def filter_duration(facts: Iterable[Fact], pred: DurationPredicate) -> list[Fact]:
-    """Order-preserving subset of facts whose duration satisfies the predicate."""
-    return [f for f in facts if pred.matches(f.duration)]
 
 
 def merge_intervals(intervals: Iterable[Interval | tuple[int, int]]) -> tuple[list[Interval], int]:

@@ -18,7 +18,8 @@ from typing import IO, Iterable, Sequence
 
 from .answers import Answer
 from .errors import ParseError
-from .pipelines import PipelineResult, coerce_answer
+from .graph import read_jsonl, write_jsonl
+from .pipelines import PipelineResult
 
 __all__ = [
     "ORDERED_LIST_TYPES",
@@ -44,15 +45,10 @@ def _norm_entity(value: str) -> str:
 
 def score(pred: PipelineResult | Answer | None, gold: Answer, question_type: str) -> bool:
     """True iff the prediction matches the gold answer under the type's rule."""
+    if isinstance(pred, PipelineResult):
+        pred = pred.answer  # already coerced by the run
     if pred is None:
         return False
-    if isinstance(pred, PipelineResult):
-        answer = pred.answer
-        if answer is None:
-            answer = coerce_answer(gold.kind, pred.raw_answer)
-        pred = answer
-        if pred is None:
-            return False
     if pred.kind != gold.kind:
         return False
     if gold.kind == "entity":
@@ -127,22 +123,15 @@ def make_row(instance, result: PipelineResult, correct: bool) -> ScoredRow:
 
 
 def save_rows(rows: Iterable[ScoredRow], sink: str | Path | IO[str]) -> None:
-    lines = [json.dumps(r.to_json(), sort_keys=True) for r in rows]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
-    else:
-        sink.write(payload)
+    write_jsonl([json.dumps(r.to_json(), sort_keys=True) for r in rows], sink)
 
 
 def load_rows(source: str | Path) -> list[ScoredRow]:
     rows = []
-    for line_no, line in enumerate(Path(source).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, obj in read_jsonl(source):
         try:
-            rows.append(ScoredRow.from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rows.append(ScoredRow.from_json(obj))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(line_no, f"bad scored row: {exc}") from exc
     return rows
 

@@ -164,7 +164,7 @@ def event_at_time_t(
     """Entities whose episode covers the time point t (t0 <= t <= t1), deduplicated."""
     position = _entity_wildcard(s, r, o)
     matches = _query(g, s, r, o)
-    covered = [f for f in sort_facts(matches) if f.t0 <= t <= f.t1]
+    covered = [f for f in sort_facts(matches) if f.interval.contains_point(t)]
     out: list[str] = []
     for f in covered:
         e = _wildcard_entity(f, position)
@@ -366,12 +366,9 @@ def check_interval_without_relation(
     episode to the window end.  A pattern matching no facts leaves the whole
     window as one gap.
     """
-    a, b = Interval(*window)
-    clamped = [
-        Interval(max(f.t0, a), min(f.t1, b))
-        for f in g.query(s, r, o)
-        if f.t0 <= b and f.t1 >= a
-    ]
+    w = Interval(*window)
+    a, b = w
+    clamped = [Interval(max(f.t0, a), min(f.t1, b)) for f in g.query(s, r, o) if f.interval.overlaps(w)]
     merged, _ = merge_intervals(clamped)
     if not merged:
         return (b - a) > min_gap

@@ -30,6 +30,7 @@ from tkgqa.pipelines import (
     PipelineConfig,
     RandomFunctionMockClient,
     ScriptedMockClient,
+    TECHNIQUES,
     run,
 )
 from tkgqa.primitives import merge_intervals
@@ -160,7 +161,7 @@ def test_a04_interval_merge_laws_ten_thousand_lists():
 
 
 def test_a05_dsl_golden_programs_match_dispatch():
-    from tkgqa.dsl import coerce_result
+    from tkgqa.pipelines import coerce_answer
 
     names = function_names()
     compared = {name: 0 for name in names}
@@ -180,7 +181,7 @@ def test_a05_dsl_golden_programs_match_dispatch():
                 compared[name] += 1
                 continue
             value = execute(program, g).value
-            got = coerce_result(value, expected.kind)
+            got = coerce_answer(expected.kind, value)
             assert got == expected, (seed, call, value)
             compared[name] += 1
     assert all(count >= 100 for count in compared.values()), compared
@@ -307,6 +308,18 @@ def test_a10_determinism_bytes(tmp_path):
     for file_name in ("g.jsonl", "d.jsonl", "t.jsonl", "r.txt"):
         assert (tmp_path / "a" / file_name).read_bytes() == (tmp_path / "b" / file_name).read_bytes(), file_name
     note("determinism: gen-graph, gen-dataset and mock eval transcripts byte-identical across runs")
+
+
+def test_a12_oracle_mock_every_technique_10k_facts():
+    g = generate_graph(GraphParams(seed=7, n_entities=60, n_relations=8, n_facts=10_000))
+    instances = generate_instances(
+        g, per_type=1, types=["timeline", "relation_duration", "is_triplet_within_timespan"], seed=3
+    )
+    for technique in TECHNIQUES:
+        for inst in instances:
+            result = run(inst, technique, OracleMockClient(inst))
+            assert score(result, inst.gold, inst.question_type), (technique, inst.id, result.errors)
+    note(f"wiring at 10,000 facts: oracle mock 100% on all {len(TECHNIQUES)} techniques")
 
 
 LIVE_URL = os.environ.get("TKGQA_LIVE_BASE_URL")

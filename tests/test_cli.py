@@ -98,6 +98,22 @@ class TestVerify:
         assert "VERIFY FAIL" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("bad", [["", "R1", "E2", 2000, 2005], ["E1", "R1", "E2", True, 2005],
+                                     ["E1", "R1", "E2", 2000.5, 2005], ["E1", "R1", "E2", "2000", 2005]])
+    def test_bad_inline_fact_is_a_line_error(self, workspace, capsys, bad):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        lines = dataset.read_text().splitlines()
+        second = json.loads(lines[1])
+        second["tkg"] = [["E1", "R1", "E3", 1990, 1995], bad]
+        lines[1] = json.dumps(second, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: bad inline tkg: invalid fact at index 1")
+        assert "Traceback" not in err
+
+
 class TestEval:
     def test_oracle_mock_full_marks(self, workspace, capsys):
         dataset = gen_dataset(workspace, gen_graph(workspace))

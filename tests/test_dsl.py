@@ -4,6 +4,7 @@ import pytest
 
 from tkgqa.answers import Answer
 from tkgqa.dsl import (
+    MAX_VALUE_DEPTH,
     ErrorValue,
     Limits,
     execute,
@@ -74,6 +75,12 @@ class TestParse:
         with pytest.raises((DslSyntaxError, ArityError)):
             parse("facts(E1, R1)")
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(DslSyntaxError):
+            parse("call timeline(" + "[" * 3000 + "]" * 3000 + ")")
+        nested = "[" * MAX_VALUE_DEPTH + "E1" + "]" * MAX_VALUE_DEPTH
+        assert parse(f"call timeline({nested})").statements
+
     def test_empty_program(self):
         with pytest.raises(DslSyntaxError):
             parse("   \n  ")
@@ -136,6 +143,30 @@ class TestExecute:
         program = parse("fact(E1, R1, E2, 2000, 2005)\nfacts(*, *, *) |> count")
         with pytest.raises(FactLimitExceededError):
             execute(program, None, Limits(max_facts=0))
+
+    def test_declarations_do_not_count_as_statements(self):
+        decls = "\n".join(f"fact(E{i}, R1, E{i + 1}, 2000, 2001)" for i in range(Limits().max_statements))
+        result = execute(parse(decls + "\nfacts(*, *, *) |> count"))
+        assert result.value == Limits().max_statements
+
+    def test_statement_limit_counts_other_statements(self, fixture_a):
+        limits = Limits(max_statements=3)
+        source = "\n".join(["let xs = facts(E1, R1, *)"] * 3 + ["xs |> count"])
+        with pytest.raises(StepLimitExceededError):
+            execute(parse(source), fixture_a, limits)
+        assert execute(parse("\n".join(source.splitlines()[1:])), fixture_a, limits).value == 3
+
+    def test_fact_limit_bounds_declarations(self):
+        source = "\n".join(f"fact(E{i}, R1, E{i + 1}, 2000, 2001)" for i in range(4)) + "\nfacts(*, *, *) |> count"
+        with pytest.raises(FactLimitExceededError):
+            execute(parse(source), None, Limits(max_facts=3))
+        assert execute(parse(source), None, Limits(max_facts=4, max_statements=1)).value == 4
+
+    def test_declared_fact_fields_use_graph_validation(self):
+        from tkgqa.errors import InvalidIntervalError
+
+        with pytest.raises(InvalidIntervalError):
+            execute(parse("fact(E1, R1, E2, 2005, 2000)\nfacts(*, *, *) |> count"))
 
     def test_graph_presence_contract(self, fixture_a):
         declared = parse("fact(E1, R1, E2, 2000, 2005)\nfacts(*, *, *) |> count")

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from tkgqa.errors import DuplicateFactError, InvalidIntervalError, ParseError
+from tkgqa.errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 from tkgqa.graph import (
     DEFAULT_FACT_TEMPLATES,
     Fact,
     Interval,
-    QueryPattern,
     TKG,
     load_tkg,
     render_text,
@@ -41,6 +40,24 @@ class TestBuild:
             TKG([("E1", "R1", "E2", 2005, 2000)])
         assert err.value.index == 0
 
+    @pytest.mark.parametrize(
+        "fact",
+        [
+            ("E1", "R1", "E2", True, 2005),
+            ("E1", "R1", "E2", 2000.5, 2005),
+            ("E1", "R1", "E2", "2000", 2005),
+            ("E1", "R1", "E2", 2000, False),
+            ("", "R1", "E2", 2000, 2005),
+            ("E1", "", "E2", 2000, 2005),
+            ("E1", "R1", 7, 2000, 2005),
+            ("E1", "R1", "E2", 2000),
+        ],
+    )
+    def test_bad_field_rejected(self, fact):
+        with pytest.raises(InvalidFactError) as err:
+            TKG([("E0", "R0", "E9", 1990, 1991), fact])
+        assert err.value.index == 1
+
     def test_same_triple_different_intervals_allowed(self):
         g = TKG([("E1", "R1", "E2", 2000, 2005), ("E1", "R1", "E2", 2007, 2009)])
         assert len(g) == 2
@@ -55,10 +72,6 @@ class TestQuery:
 
     def test_unknown_id_matches_nothing(self, fixture_a):
         assert fixture_a.query("E99", None, None) == []
-
-    def test_pattern_object(self, fixture_a):
-        p = QueryPattern(s="E1", r="R1")
-        assert fixture_a.query_pattern(p) == [F1, F2, F3]
 
     def test_matches_brute_force_filter(self):
         for seed in range(100):
@@ -131,6 +144,20 @@ class TestSerialization:
     def test_bool_timestamp_rejected(self):
         with pytest.raises(ParseError):
             load_tkg(io.StringIO('{"s":"E1","r":"R1","o":"E2","t0":true,"t1":2}'))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"s":"E1","r":"R1","o":"E3","t0":2000.5,"t1":2005}',
+            '{"s":"E1","r":"R1","o":"E3","t0":"2000","t1":2005}',
+            '{"s":"","r":"R1","o":"E3","t0":2000,"t1":2005}',
+        ],
+    )
+    def test_bad_field_reports_file_line(self, bad):
+        good = '{"s":"E1","r":"R1","o":"E2","t0":2000,"t1":2005}'
+        with pytest.raises(ParseError) as err:
+            load_tkg(io.StringIO(good + "\n\n" + bad + "\n"))
+        assert err.value.line == 3
 
 
 class TestRenderText:

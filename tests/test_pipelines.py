@@ -8,9 +8,11 @@ from tkgqa.errors import (
     AnswerParseError,
     ArgumentTypeError,
     ScriptExhaustedError,
+    TkgqaError,
     UnknownFunctionError,
 )
 from tkgqa.generator import GraphParams, generate_graph, generate_instances
+from tkgqa.graph import TKG
 from tkgqa.pipelines import (
     OracleMockClient,
     RandomFunctionMockClient,
@@ -23,6 +25,7 @@ from tkgqa.pipelines import (
     temporal_confidence,
 )
 from tkgqa.scoring import score
+from tkgqa.solvers import dispatch
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,69 @@ class TestCote:
         result = run(inst, "cote_s", OracleMockClient(inst))
         assert result.llm_calls == 3
         assert result.answer == inst.gold
+
+
+class TestStructuring:
+    """cote_s and cotapi_s structure the same way and never fall back to the gold graph."""
+
+    @staticmethod
+    def no_structuring_client(inst):
+        oracle = OracleMockClient(inst)
+
+        class NoDeclarations:
+            def complete(self, messages, **kwargs):
+                if "fact(S, R, O, T0, T1)" in messages[-1]["content"]:
+                    return "I would rather not restate the facts."
+                return oracle.complete(messages, **kwargs)
+
+        return NoDeclarations()
+
+    def test_both_run_on_an_empty_graph(self, instances):
+        for inst in instances:
+            try:
+                right_on_empty_graph = dispatch(TKG(), inst.canonical_call) == inst.gold
+            except TkgqaError:
+                right_on_empty_graph = False
+            for technique in ("cote_s", "cotapi_s"):
+                result = run(inst, technique, self.no_structuring_client(inst))
+                assert result.errors[0] == "structuring failed: reply contains no fenced tqdsl block"
+                assert score(result, inst.gold, inst.question_type) == right_on_empty_graph, (technique, inst.id)
+
+    def test_structured_graph_is_the_restated_one(self, instances):
+        inst = by_type(instances, "calculate_total_relation_time")
+        structure = "```tqdsl\nfact(E1, R1, E2, 2000, 2010)\nfacts(*, *, *) |> count\n```"
+        script = ["analysis", structure, "```tqdsl\nfacts(*, *, *) |> merge_total\n```"]
+        result = run(inst, "cote_s", ScriptedMockClient(script))
+        assert result.raw_answer == 10 and result.dsl_programs[1] == "facts(*, *, *) |> merge_total"
+
+
+class TestDeepNesting:
+    """Replies nested thousands deep become recorded failures, not exceptions."""
+
+    DEEP = "[" * 3000 + "]" * 3000
+
+    def test_reply_json(self, instances):
+        inst = by_type(instances, "timeline")
+        reply = '```json\n{"answer": ' + self.DEEP + "}\n```"
+        result = run(inst, "direct", ScriptedMockClient([reply]))
+        assert result.parse_error and not score(result, inst.gold, inst.question_type)
+        with pytest.raises(AnswerParseError):
+            extract_answer(reply)
+
+    def test_function_selection(self, instances):
+        inst = by_type(instances, "timeline")
+        select = '```json\n{"name": "timeline", "arguments": {"s": ' + self.DEEP + "}}\n```"
+        client = ScriptedMockClient({"Available functions:": select, "Function results:": "no json", "": "analysis"})
+        result = run(inst, "cotapi", client)
+        assert any("selection failed" in e for e in result.errors)
+        assert result.parse_error
+
+    def test_tqdsl_program(self, instances):
+        inst = by_type(instances, "timeline")
+        script = ["analysis", "```tqdsl\ncall timeline(" + self.DEEP + ")\n```"]
+        result = run(inst, "cote", ScriptedMockClient(script))
+        assert result.parse_error
+        assert any("parse error" in e for e in result.errors)
 
 
 class TestCotapi:

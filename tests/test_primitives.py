@@ -1,19 +1,24 @@
+import operator
 import random
 
 import pytest
 
-from tkgqa.graph import Interval
-from tkgqa.primitives import (
-    DurationPredicate,
-    TimeFilter,
-    count_facts,
-    filter_duration,
-    filter_time,
-    merge_intervals,
-    sort_facts,
-)
+from tkgqa.dsl import execute, parse
+from tkgqa.graph import TKG, Interval
+from tkgqa.primitives import DurationPredicate, merge_intervals, sort_facts
 
 from conftest import F1, F2, F3, F4, F6, FIXTURE_FACTS, random_fact_list
+
+NAIVE_COMPARATORS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def run_stages(facts, stages: str):
+    """Apply tqdsl stages to every fact of a graph built from ``facts`` (duplicates dropped)."""
+    return execute(parse(f"facts(*, *, *) |> {stages}"), TKG(dict.fromkeys(facts))).value
+
+
+def distinct_facts(rng: random.Random, size: int | None = None):
+    return list(dict.fromkeys(random_fact_list(rng, size)))
 
 
 class TestSort:
@@ -45,79 +50,86 @@ class TestSort:
 
 
 class TestFilterTime:
+    """The interval filters are the tqdsl stages over the ``Interval`` tests."""
+
     def test_at_point(self, fixture_a):
-        base = fixture_a.query(None, "R1", "E2")
-        assert filter_time(base, TimeFilter.at_point(2002)) == [F1, F4]
+        program = parse("facts(*, R1, E2) |> filter_at(2002)")
+        assert execute(program, fixture_a).value == [F1, F4]
 
     def test_full_cover_overlap_keeps_all(self):
         for seed in range(50):
-            facts = random_fact_list(random.Random(seed), size=12)
+            facts = distinct_facts(random.Random(seed), size=12)
             lo = min(f.t0 for f in facts)
             hi = max(f.t1 for f in facts)
-            assert filter_time(facts, TimeFilter.overlaps(lo, hi)) == facts
+            assert run_stages(facts, f"filter_overlap({lo}, {hi})") == facts
 
     def test_containment_implies_overlap(self):
         for seed in range(100):
             rng = random.Random(seed)
-            facts = random_fact_list(rng, size=15)
+            facts = distinct_facts(rng, size=15)
             a = rng.randint(1900, 2050)
             b = a + rng.randint(0, 40)
-            contained = filter_time(facts, TimeFilter.contained_in(a, b))
-            overlapping = filter_time(facts, TimeFilter.overlaps(a, b))
+            contained = run_stages(facts, f"filter_within({a}, {b})")
+            overlapping = run_stages(facts, f"filter_overlap({a}, {b})")
             assert set(contained) <= set(overlapping)
 
     def test_matches_naive_scan(self):
         for seed in range(1000):
             rng = random.Random(seed)
-            facts = random_fact_list(rng, size=rng.randint(0, 12))
+            facts = distinct_facts(rng, size=rng.randint(0, 12))
             t = rng.randint(1900, 2060)
             a, b = sorted((rng.randint(1900, 2060), rng.randint(1900, 2060)))
-            assert filter_time(facts, TimeFilter.at_point(t)) == [
-                f for f in facts if f.t0 <= t <= f.t1
-            ]
-            assert filter_time(facts, TimeFilter.overlaps(a, b)) == [
+            window = Interval(a, b)
+            assert run_stages(facts, f"filter_at({t})") == [f for f in facts if f.t0 <= t <= f.t1]
+            assert run_stages(facts, f"filter_overlap({a}, {b})") == [
                 f for f in facts if f.t0 <= b and a <= f.t1
             ]
-            assert filter_time(facts, TimeFilter.contained_in(a, b)) == [
+            assert run_stages(facts, f"filter_within({a}, {b})") == [
+                f for f in facts if a <= f.t0 and f.t1 <= b
+            ]
+            assert [f for f in facts if f.interval.contains_point(t)] == [f for f in facts if f.t0 <= t <= f.t1]
+            assert [f for f in facts if f.interval.overlaps(window)] == [
+                f for f in facts if f.t0 <= b and a <= f.t1
+            ]
+            assert [f for f in facts if f.interval.within(window)] == [
                 f for f in facts if a <= f.t0 and f.t1 <= b
             ]
 
 
 class TestCount:
     def test_empty(self):
-        assert count_facts([]) == 0
+        assert run_stages([], "count") == 0
 
     def test_fixture_full(self, fixture_a):
-        assert count_facts(fixture_a.query()) == 6
+        assert execute(parse("facts(*, *, *) |> count"), fixture_a).value == 6
 
     def test_filter_never_grows(self):
         for seed in range(50):
             rng = random.Random(seed)
-            facts = random_fact_list(rng)
-            flt = TimeFilter.overlaps(rng.randint(1900, 2040), rng.randint(2041, 2080))
-            assert count_facts(filter_time(facts, flt)) <= count_facts(facts)
+            facts = distinct_facts(rng)
+            a, b = rng.randint(1900, 2040), rng.randint(2041, 2080)
+            assert run_stages(facts, f"filter_overlap({a}, {b}) |> count") <= run_stages(facts, "count")
 
 
 class TestFilterDuration:
     def test_at_least_five(self, fixture_a):
-        base = fixture_a.query("E1", "R1", None)
-        assert filter_duration(base, DurationPredicate(">=", 5)) == [F1, F3]
+        assert execute(parse("facts(E1, R1, *) |> filter_dur(>=, 5)"), fixture_a).value == [F1, F3]
 
     def test_nonnegative_keeps_all(self, fixture_a):
-        base = fixture_a.query()
-        assert filter_duration(base, DurationPredicate(">=", 0)) == list(base)
+        assert execute(parse("facts(*, *, *) |> filter_dur(>=, 0)"), fixture_a).value == list(fixture_a.facts)
 
     def test_above_max_empty(self, fixture_a):
-        assert filter_duration(fixture_a.query("E1", "R1", None), DurationPredicate(">", 8)) == []
+        assert execute(parse("facts(E1, R1, *) |> filter_dur(>, 8)"), fixture_a).value == []
 
     def test_matches_naive_scan(self):
         for seed in range(1000):
             rng = random.Random(seed)
-            facts = random_fact_list(rng, size=rng.randint(0, 12))
-            op = rng.choice(("<", "<=", "=", ">=", ">"))
+            facts = distinct_facts(rng, size=rng.randint(0, 12))
+            op = rng.choice(tuple(NAIVE_COMPARATORS))
             n = rng.randint(0, 20)
-            pred = DurationPredicate(op, n)
-            assert filter_duration(facts, pred) == [f for f in facts if pred.matches(f.duration)]
+            naive = [f for f in facts if NAIVE_COMPARATORS[op](f.t1 - f.t0, n)]
+            assert run_stages(facts, f"filter_dur({op}, {n})") == naive
+            assert [f for f in facts if DurationPredicate(op, n).matches(f.duration)] == naive
 
     def test_unknown_comparator(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,10 @@ class TestScore:
         assert not score(None, Answer.count(1), "timeline")
 
     def test_pipeline_result_raw_fallback(self):
+        # the run coerces raw_answer once; a result without an answer scores false
         result = PipelineResult(technique="direct", instance_id="x", raw_answer="4")
+        assert not score(result, Answer.count(4), "number_of_events_in_time_interval")
+        result.answer = Answer.count(4)
         assert score(result, Answer.count(4), "number_of_events_in_time_interval")
 
     def test_self_match_over_generated_instances(self):
