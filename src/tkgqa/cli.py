@@ -52,8 +52,15 @@ CONFIG_DEFAULTS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """An integer above 0; as an argparse type, its ValueError is a usage error."""
+    if int(text) <= 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def load_config(path: str | Path | None) -> dict[str, str]:
-    """Parse a `key = value` config file; '#' starts a comment."""
+    """Parse a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS."""
     config = dict(CONFIG_DEFAULTS)
     if path is None:
         return config
@@ -64,6 +71,13 @@ def load_config(path: str | Path | None) -> dict[str, str]:
         if "=" not in line:
             raise TkgqaError(f"config line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_DEFAULTS:
+            raise TkgqaError(f"config line {line_no}: unknown key {key!r}")
+        if key == "bin_width" and value:
+            try:
+                positive_int(value)
+            except ValueError:
+                raise TkgqaError(f"config line {line_no}: bin_width must be an integer > 0") from None
         config[key] = value
     return config
 
@@ -227,12 +241,8 @@ def cmd_confidence(args: argparse.Namespace) -> int:
     scores = []
     live_client = _make_live_client(args, config) if args.mock is None else None
     for actual, question, data in pairs:
-        if live_client is not None:
-            client = live_client
-        else:
-            client = make_mock_client(args.mock, _ConfidenceStub(question), seed=0)
-        value = temporal_confidence(question, data, client, cfg)
-        scores.append((actual, value))
+        client = live_client if live_client is not None else make_mock_client(args.mock)
+        scores.append((actual, temporal_confidence(question, data, client, cfg)))
     report = confidence_report(scores, threshold=threshold)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -241,20 +251,9 @@ def cmd_confidence(args: argparse.Namespace) -> int:
     return 0
 
 
-class _ConfidenceStub:
-    """Minimal instance stand-in so mock factories work for confidence runs."""
-
-    def __init__(self, question: str):
-        self.id = question[:40]
-        self.question_type = "confidence"
-        self.canonical_call = None
-        self.gold = None
-        self.tkg = None
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     rows = load_rows(args.rows)
-    report = aggregate(rows, bin_width=args.bin_width or 500)
+    report = aggregate(rows, bin_width=args.bin_width)
     print(_render_report(report, args.format))
     return 0
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", default=None, help="write transcript JSONL here")
     p.add_argument("--report", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text", help="report format")
-    p.add_argument("--bin-width", type=int, default=None, help="token bin width")
+    p.add_argument("--bin-width", type=positive_int, default=None, help="token bin width (default 500)")
     p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_eval)
 
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-aggregate persisted scored rows")
     p.add_argument("--rows", required=True, help="scored rows JSONL")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text", help="report format")
-    p.add_argument("--bin-width", type=int, default=None, help="token bin width")
+    p.add_argument("--bin-width", type=positive_int, default=500, help="token bin width (default 500)")
     p.set_defaults(func=cmd_report)
 
     return parser

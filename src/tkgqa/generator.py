@@ -740,7 +740,6 @@ def generate_instances(
     types: Sequence[str] | None = None,
     seed: int = 0,
     tkg_ref: str | None = None,
-    tkg_text: str | None = None,
 ) -> list[TaskInstance]:
     """Sample ``per_type`` verified-ready instances for each requested type.
 
@@ -753,8 +752,7 @@ def generate_instances(
     unknown = set(requested) - set(QUESTION_TYPES)
     if unknown:
         raise ValueError(f"unknown question types: {sorted(unknown)}")
-    if tkg_text is None:
-        tkg_text = render_text(g, seed=subseed(seed, "render"))
+    tkg_text = render_text(g, seed=subseed(seed, "render"))
     tokens = estimate_tokens(tkg_text)
 
     instances = []

@@ -11,9 +11,10 @@ facts as tqdsl declarations; their non-``_s`` counterparts work against the
 already structured graph and see only a small fact excerpt.
 
 Prompt templates live in ``prompts/`` next to this module and are plain
-``str.format`` text files.  Clients only need a ``complete(messages, model,
-temperature, max_tokens) -> str`` method; scripted mocks make every pipeline
-fully deterministic and offline.
+``str.format`` text files; each model call is a step named after its template.
+Clients only need a ``complete(messages, *, model, temperature, max_tokens,
+step) -> str`` method; mocks make every pipeline fully deterministic and
+offline, and the oracle and random mocks answer by step, whatever the wording.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .answers import Answer, FunctionCall
-from .dsl import ErrorValue, Limits, Program, execute, extract_fenced_source, parse
+from .dsl import ErrorValue, Program, execute, extract_fenced_source, parse
 from .errors import (
     AnswerParseError,
     ArgumentTypeError,
@@ -48,7 +49,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "TECHNIQUES",
-    "SEMI_STRUCTURED_TECHNIQUES",
     "PipelineConfig",
     "PipelineResult",
     "ChatClient",
@@ -64,12 +64,12 @@ __all__ = [
     "temporal_confidence",
 ]
 
-TECHNIQUES = ("direct", "cot", "tot", "cotr", "cote", "cote_s", "cotapi", "cotapi_s")
-
-# these receive the full semi-structured rendering; the rest get a fact excerpt
-SEMI_STRUCTURED_TECHNIQUES = ("direct", "cot", "tot", "cotr", "cote_s", "cotapi_s")
-
 REFLEXION_SENTINEL = "repeat_please"
+EXCERPT_FACTS = 5  # lines of fact text shown to techniques that do not see the full text
+MAX_REFLEXIONS = 3
+TOT_DEPTH = 2
+TOT_BEAM = 2
+TOT_BRANCH = 3
 
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
 _prompt_cache: dict[tuple[str, str], str] = {}
@@ -99,13 +99,7 @@ class PipelineConfig:
     model: str = "mock"
     temperature: float = 0.0
     max_tokens: int = 1024
-    excerpt_facts: int = 5
-    max_reflexions: int = 3
-    tot_depth: int = 2
-    tot_beam: int = 2
-    tot_branch: int = 3
     prompts_dir: Path | None = None
-    dsl_limits: Limits = field(default_factory=Limits)
 
 
 @dataclass
@@ -143,7 +137,7 @@ class PipelineResult:
 
 
 class ChatClient(Protocol):
-    def complete(self, messages: list[dict], *, model: str, temperature: float, max_tokens: int) -> str:
+    def complete(self, messages: list[dict], *, model: str, temperature: float, max_tokens: int, step: str) -> str:
         ...
 
 
@@ -175,7 +169,7 @@ class ScriptedMockClient:
             raise ClientError(f"mock script must be a JSON array or object: {path}")
         return cls(obj)
 
-    def complete(self, messages, *, model="mock", temperature=0.0, max_tokens=0) -> str:
+    def complete(self, messages, *, model="mock", temperature=0.0, max_tokens=0, step="") -> str:
         if self._replies is not None:
             if self._cursor >= len(self._replies):
                 raise ScriptExhaustedError(f"mock script exhausted after {self._cursor} replies")
@@ -242,66 +236,83 @@ def _structuring_program(g: TKG) -> str:
 class OracleMockClient:
     """Per-instance mock that always behaves perfectly.
 
-    Emits the instance's canonical call when shown the function schemas,
-    restates the graph when asked to structure data, answers with the gold
-    value otherwise, and echoes dispatched function results.  Used to verify
-    end-to-end plumbing: a pipeline wired correctly must score 100%.
+    Replies by step, through ``ROUTES``: it emits the instance's canonical
+    call when asked to select a function, restates the graph when asked to
+    structure data, echoes the dispatched function result, and answers with
+    the gold value otherwise.  Used to verify end-to-end plumbing: a pipeline
+    wired correctly must score 100%, whatever its prompts say.  Confidence
+    runs need no instance.
     """
 
-    def __init__(self, instance: TaskInstance):
+    # step -> reply method; every step the pipelines ask is listed, with no fallback
+    ROUTES = {
+        **dict.fromkeys(
+            ("direct", "cot_1", "cot_2", "cot_3", "cotr_3", "cotr_reflect", "tot_initial", "tot_final", "exec_analyze"),
+            "_gold_reply",
+        ),
+        "tot_expand": "_options_reply",
+        "tot_evaluate": "_judge_reply",
+        "structure_data": "_structure_reply",
+        "exec_solve": "_program_reply",
+        "api_select": "_select_reply",
+        "api_final": "_result_reply",
+        "confidence": "_confidence_reply",
+    }
+
+    def __init__(self, instance: TaskInstance | None):
         self.instance = instance
 
-    def _select_reply(self) -> str:
-        return _json_fence(self.instance.canonical_call.to_json())
+    def complete(self, messages, *, model="mock", temperature=0.0, max_tokens=0, step: str) -> str:
+        return getattr(self, self.ROUTES[step])(messages[-1]["content"])
 
-    def _gold_reply(self) -> str:
+    def _gold_reply(self, prompt: str) -> str:
         return _json_fence(
             {"explanation": "computed from the data", "answer": self.instance.gold.to_json()["value"]}
         )
 
-    def complete(self, messages, *, model="mock", temperature=0.0, max_tokens=0) -> str:
-        prompt = messages[-1]["content"] if messages else ""
-        if "Available functions:" in prompt:
-            return self._select_reply()
-        if "Function results:" in prompt:
-            payload = prompt.split("Function results:", 1)[1]
-            try:
-                obj = json.loads(payload.strip().splitlines()[0]) if payload.strip() else {}
-            except json.JSONDecodeError:
-                obj = {}
-            if isinstance(obj, dict) and isinstance(obj.get("result"), dict) and "value" in obj["result"]:
-                value = obj["result"]["value"]
-            else:
-                value = "unknown"  # the call failed; answer from its error would be a guess
-            return _json_fence({"explanation": "from the function result", "answer": value})
-        if "fact(S, R, O, T0, T1)" in prompt:
-            return _dsl_fence(_structuring_program(self.instance.tkg))
-        if "tqdsl program" in prompt:
-            return _dsl_fence(call_to_dsl(self.instance.canonical_call))
-        if 'keys "Option1"' in prompt:
-            return _json_fence(
-                {
-                    "Option1": "locate the facts matching the question pattern",
-                    "Option2": "order the matching facts by their start years",
-                    "Option3": "apply the question's temporal condition to the ordered facts",
-                }
-            )
-        if 'field "score"' in prompt:
-            return _json_fence({"score": 7})
-        if "temporal confidence" in prompt:
-            return _json_fence({"score": 1.0})
-        return self._gold_reply()
+    def _options_reply(self, prompt: str) -> str:
+        return _json_fence(
+            {
+                "Option1": "locate the facts matching the question pattern",
+                "Option2": "order the matching facts by their start years",
+                "Option3": "apply the question's temporal condition to the ordered facts",
+            }
+        )
+
+    def _judge_reply(self, prompt: str) -> str:
+        return _json_fence({"score": 7})
+
+    def _structure_reply(self, prompt: str) -> str:
+        return _dsl_fence(_structuring_program(self.instance.tkg))
+
+    def _program_reply(self, prompt: str) -> str:
+        return _dsl_fence(call_to_dsl(self.instance.canonical_call))
+
+    def _select_reply(self, prompt: str) -> str:
+        return _json_fence(self.instance.canonical_call.to_json())
+
+    def _result_reply(self, prompt: str) -> str:
+        """Echo the value of the function results, the first JSON object of the prompt."""
+        obj = _reply_json(prompt)
+        if isinstance(obj, dict) and isinstance(obj.get("result"), dict) and "value" in obj["result"]:
+            value = obj["result"]["value"]
+        else:
+            value = "unknown"  # the call failed; answer from its error would be a guess
+        return _json_fence({"explanation": "from the function result", "answer": value})
+
+    def _confidence_reply(self, prompt: str) -> str:
+        return _json_fence({"score": 1.0})
 
 
 class RandomFunctionMockClient(OracleMockClient):
     """Like the oracle mock, but picks a uniformly random function when asked
     to select one.  Deterministic per (seed, instance id)."""
 
-    def __init__(self, instance: TaskInstance, seed: int = 0):
+    def __init__(self, instance: TaskInstance | None, seed: int = 0):
         super().__init__(instance)
-        self._rng = random.Random(subseed(seed, f"mock:{instance.id}"))
+        self._rng = random.Random(subseed(seed, f"mock:{instance.id if instance else ''}"))
 
-    def _select_reply(self) -> str:
+    def _select_reply(self, prompt: str) -> str:
         name = self._rng.choice(function_names())
         spec = function_spec(name)
         canonical = self.instance.canonical_call.arguments
@@ -363,7 +374,7 @@ class LiveChatClient:
         if wait > 0:
             time.sleep(wait)
 
-    def complete(self, messages, *, model, temperature=0.0, max_tokens=1024) -> str:
+    def complete(self, messages, *, model, temperature=0.0, max_tokens=1024, step="") -> str:
         import requests
 
         payload = {
@@ -375,6 +386,8 @@ class LiveChatClient:
         last_error: Exception | None = None
         with self._in_flight:
             for attempt in range(self.max_retries):
+                if attempt:
+                    time.sleep(min(2 ** (attempt - 1), 8))  # backoff between attempts only
                 self._pace()
                 try:
                     resp = requests.post(
@@ -394,12 +407,11 @@ class LiveChatClient:
                     if resp.status_code not in (429, 500, 502, 503, 504):
                         raise ClientError(f"HTTP {resp.status_code}: {resp.text[:500]}")
                     last_error = ClientError(f"HTTP {resp.status_code}")
-                time.sleep(min(2 ** attempt, 8))
         raise ClientError(f"request failed after {self.max_retries} attempts: {last_error}")
 
 
-def make_mock_client(kind: str, instance: TaskInstance, seed: int = 0):
-    """Build the per-run mock named by `kind`: 'oracle', 'random', or a script path."""
+def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int = 0):
+    """Build the per-run mock named by `kind`: 'oracle', 'random', or a script path (no instance for confidence)."""
     if kind == "oracle":
         return OracleMockClient(instance)
     if kind == "random":
@@ -532,7 +544,7 @@ def select_function(reply: str) -> FunctionCall:
 
 
 class _Chain:
-    """One conversation with call accounting."""
+    """One conversation with call accounting: the only caller of ``client.complete``."""
 
     def __init__(self, client, cfg: PipelineConfig, result: PipelineResult):
         self.client = client
@@ -540,7 +552,9 @@ class _Chain:
         self.result = result
         self.messages: list[dict] = []
 
-    def ask(self, prompt: str, *, fresh: bool = False) -> str:
+    def ask(self, step: str, *, fresh: bool = False, **fields) -> str:
+        """Send the ``step`` template, formatted with ``fields``; the reply."""
+        prompt = _prompt(step, self.cfg.prompts_dir).format(**fields)
         if fresh:
             self.messages = []
         self.messages.append({"role": "user", "content": prompt})
@@ -549,6 +563,7 @@ class _Chain:
             model=self.cfg.model,
             temperature=self.cfg.temperature,
             max_tokens=self.cfg.max_tokens,
+            step=step,
         )
         self.messages.append({"role": "assistant", "content": reply})
         self.result.llm_calls += 1
@@ -556,13 +571,10 @@ class _Chain:
         return reply
 
 
-def _statement(instance: TaskInstance, technique: str, cfg: PipelineConfig) -> str:
-    if technique in SEMI_STRUCTURED_TECHNIQUES:
-        data = instance.tkg_text
-    else:
-        data = "\n".join(instance.tkg_text.splitlines()[: cfg.excerpt_facts])
+def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> str:
+    data = instance.tkg_text if full_text else "\n".join(instance.tkg_text.splitlines()[:EXCERPT_FACTS])
     hint = _ANSWER_HINTS.get(instance.answer_type, "")
-    return _prompt("statement", cfg.prompts_dir).format(
+    return _prompt("statement", prompts_dir).format(
         question=instance.question_text, answer_hint=hint, data=data
     )
 
@@ -593,36 +605,40 @@ def _read_reply(reply: str) -> tuple[object, str, str | None]:
     return raw, explanation, None
 
 
-def _run_direct(instance, chain, cfg):
-    statement = _statement(instance, "direct", cfg)
-    return chain.ask(_prompt("direct", cfg.prompts_dir).format(task=statement))
+# Each runner takes (instance, chain, statement) and returns the outcome
+# (raw answer, explanation, error) that _finish records.
 
 
-def _run_cot(instance, chain, cfg, technique="cot"):
-    statement = _statement(instance, technique, cfg)
-    chain.ask(_prompt("cot_1", cfg.prompts_dir).format(task=statement))
-    chain.ask(_prompt("cot_2", cfg.prompts_dir))
-    solve = "cot_3" if technique == "cot" else "cotr_3"
-    return chain.ask(_prompt(solve, cfg.prompts_dir))
+def _run_direct(instance, chain, statement):
+    return _read_reply(chain.ask("direct", task=statement))
 
 
-def _run_cotr(instance, chain, cfg, result):
-    reply = _run_cot(instance, chain, cfg, technique="cotr")
-    final = reply
-    for _ in range(cfg.max_reflexions):
-        verdict = chain.ask(_prompt("cotr_reflect", cfg.prompts_dir))
+def _cot_chain(chain, statement, solve: str) -> str:
+    chain.ask("cot_1", task=statement)
+    chain.ask("cot_2")
+    return chain.ask(solve)
+
+
+def _run_cot(instance, chain, statement):
+    return _read_reply(_cot_chain(chain, statement, "cot_3"))
+
+
+def _run_cotr(instance, chain, statement):
+    final = _cot_chain(chain, statement, "cotr_3")
+    for _ in range(MAX_REFLEXIONS):
+        verdict = chain.ask("cotr_reflect")
         if REFLEXION_SENTINEL in verdict:
-            result.reflexions += 1
+            chain.result.reflexions += 1
             continue
         final = verdict
         break
-    return final
+    return _read_reply(final)
 
 
-def _parse_options(reply: str, branch: int) -> list[str]:
+def _parse_options(reply: str) -> list[str]:
     obj = _reply_json(reply)
     if isinstance(obj, dict):
-        options = [str(obj[k]) for k in (f"Option{i}" for i in range(1, branch + 1)) if k in obj]
+        options = [str(obj[k]) for k in (f"Option{i}" for i in range(1, TOT_BRANCH + 1)) if k in obj]
         if options:
             return options
     return [reply.strip()]
@@ -635,42 +651,30 @@ def _parse_score(reply: str) -> float:
     return 5.0  # midpoint default when the judge reply does not parse
 
 
-def _run_tot(instance, chain, cfg, result):
-    statement = _statement(instance, "tot", cfg)
-    chain.ask(
-        _prompt("tot_initial", cfg.prompts_dir).format(max_depth=cfg.tot_depth, task=statement)
-    )
+def _run_tot(instance, chain, statement):
+    chain.ask("tot_initial", max_depth=TOT_DEPTH, task=statement)
     frontier: list[tuple[list[str], float]] = [([], 0.0)]
-    for depth in range(1, cfg.tot_depth + 1):
+    for depth in range(1, TOT_DEPTH + 1):
         children: list[tuple[list[str], float]] = []
         for path, _score in frontier:
-            node_state = " -> ".join(path) if path else "(start)"
             reply = chain.ask(
-                _prompt("tot_expand", cfg.prompts_dir).format(
-                    depth=depth,
-                    max_depth=cfg.tot_depth,
-                    task=statement,
-                    question=instance.question_text,
-                    node_state=node_state,
-                ),
+                "tot_expand",
                 fresh=True,
+                depth=depth,
+                max_depth=TOT_DEPTH,
+                task=statement,
+                question=instance.question_text,
+                node_state=" -> ".join(path) if path else "(start)",
             )
-            for option in _parse_options(reply, cfg.tot_branch):
+            for option in _parse_options(reply):
                 new_path = path + [option]
-                state = " -> ".join(new_path)
-                score_reply = chain.ask(
-                    _prompt("tot_evaluate", cfg.prompts_dir).format(task=statement, state=state),
-                    fresh=True,
-                )
+                score_reply = chain.ask("tot_evaluate", fresh=True, task=statement, state=" -> ".join(new_path))
                 children.append((new_path, _parse_score(score_reply)))
         children.sort(key=lambda item: -item[1])  # stable: ties keep generation order
-        frontier = children[: cfg.tot_beam] or frontier
+        frontier = children[:TOT_BEAM] or frontier
     best_path = frontier[0][0]
-    return chain.ask(
-        _prompt("tot_final", cfg.prompts_dir).format(
-            task=statement, reasoning_path=" -> ".join(best_path) or "(empty)"
-        ),
-        fresh=True,
+    return _read_reply(
+        chain.ask("tot_final", fresh=True, task=statement, reasoning_path=" -> ".join(best_path) or "(empty)")
     )
 
 
@@ -686,27 +690,26 @@ def _extract_program(reply: str, result: PipelineResult) -> Program:
         raise TkgqaError(f"tqdsl parse error: {exc}") from exc
 
 
-def _structure_graph(chain: _Chain, cfg: PipelineConfig, result: PipelineResult) -> TKG:
+def _structure_graph(chain: _Chain) -> TKG:
     """Have the model restate the data as fact declarations; the graph they build.
 
     The graph is empty when structuring yields nothing usable, so a ``_s``
     technique never falls back to the gold graph.
     """
-    reply = chain.ask(_prompt("structure_data", cfg.prompts_dir))
+    reply = chain.ask("structure_data")
     try:
-        return execute(_extract_program(reply, result), None, cfg.dsl_limits).graph
+        return execute(_extract_program(reply, chain.result)).graph
     except TkgqaError as exc:
-        result.errors.append(f"structuring failed: {exc}")
+        chain.result.errors.append(f"structuring failed: {exc}")
         return TKG()
 
 
-def _run_cote(instance, chain, cfg, result, structured: bool):
-    statement = _statement(instance, "cote" if structured else "cote_s", cfg)
-    chain.ask(_prompt("exec_analyze", cfg.prompts_dir).format(task=statement))
-    graph = instance.tkg if structured else _structure_graph(chain, cfg, result)
-    solve_reply = chain.ask(_prompt("exec_solve", cfg.prompts_dir))
+def _run_cote(instance, chain, statement, structured: bool):
+    chain.ask("exec_analyze", task=statement)
+    graph = instance.tkg if structured else _structure_graph(chain)
+    solve_reply = chain.ask("exec_solve")
     try:
-        value = execute(_extract_program(solve_reply, result), graph, cfg.dsl_limits).value
+        value = execute(_extract_program(solve_reply, chain.result), graph).value
     except TkgqaError as exc:
         return solve_reply, "", str(exc)
     if isinstance(value, ErrorValue):
@@ -719,12 +722,11 @@ def _schema_text() -> str:
     return json.dumps(schema_bundle(), indent=2)
 
 
-def _run_cotapi(instance, chain, cfg, result, structured: bool):
-    statement = _statement(instance, "cotapi" if structured else "cotapi_s", cfg)
-    chain.ask(_prompt("exec_analyze", cfg.prompts_dir).format(task=statement))
-    graph = instance.tkg if structured else _structure_graph(chain, cfg, result)
-    select_reply = chain.ask(_prompt("api_select", cfg.prompts_dir).format(schema=_schema_text()))
-    payload: dict
+def _run_cotapi(instance, chain, statement, structured: bool):
+    result = chain.result
+    chain.ask("exec_analyze", task=statement)
+    graph = instance.tkg if structured else _structure_graph(chain)
+    select_reply = chain.ask("api_select", schema=_schema_text())
     try:
         call = select_function(select_reply)
     except (AnswerParseError, UnknownFunctionError, ArgumentTypeError) as exc:
@@ -740,31 +742,36 @@ def _run_cotapi(instance, chain, cfg, result, structured: bool):
             payload = {"name": call.name, "error": str(exc)}
         else:
             payload = {"name": call.name, "result": outcome.to_json()}
-    return chain.ask(_prompt("api_final", cfg.prompts_dir).format(results=json.dumps(payload)))
+    return _read_reply(chain.ask("api_final", results=json.dumps(payload)))
+
+
+# technique -> (runner, whether its statement carries the full semi-structured
+# text rather than a fact excerpt); the structured cote/cotapi work against the graph
+_TECHNIQUES = {
+    "direct": (_run_direct, True),
+    "cot": (_run_cot, True),
+    "tot": (_run_tot, True),
+    "cotr": (_run_cotr, True),
+    "cote": (functools.partial(_run_cote, structured=True), False),
+    "cote_s": (functools.partial(_run_cote, structured=False), True),
+    "cotapi": (functools.partial(_run_cotapi, structured=True), False),
+    "cotapi_s": (functools.partial(_run_cotapi, structured=False), True),
+}
+TECHNIQUES = tuple(_TECHNIQUES)
 
 
 def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Execute one technique on one instance and return its full result."""
-    if technique not in TECHNIQUES:
+    if technique not in _TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
+    runner, full_text = _TECHNIQUES[technique]
     cfg = cfg or PipelineConfig()
     result = PipelineResult(technique=technique, instance_id=instance.id)
     chain = _Chain(client, cfg, result)
     started = time.perf_counter()
     try:
-        if technique in ("cote", "cote_s"):
-            outcome = _run_cote(instance, chain, cfg, result, structured=technique == "cote")
-        elif technique == "direct":
-            outcome = _read_reply(_run_direct(instance, chain, cfg))
-        elif technique == "cot":
-            outcome = _read_reply(_run_cot(instance, chain, cfg))
-        elif technique == "cotr":
-            outcome = _read_reply(_run_cotr(instance, chain, cfg, result))
-        elif technique == "tot":
-            outcome = _read_reply(_run_tot(instance, chain, cfg, result))
-        else:
-            outcome = _read_reply(_run_cotapi(instance, chain, cfg, result, structured=technique == "cotapi"))
-        _finish(result, instance, *outcome)
+        statement = _statement(instance, full_text, cfg.prompts_dir)
+        _finish(result, instance, *runner(instance, chain, statement))
     finally:
         result.wall_time = time.perf_counter() - started
     return result
@@ -780,15 +787,8 @@ def temporal_confidence(question: str, data_excerpt: str, client, cfg: PipelineC
     Returns None when the reply yields no numeric score (the caller should
     flag the task); out-of-range scores are clamped with a warning.
     """
-    cfg = cfg or PipelineConfig()
-    prompt = _prompt("confidence", cfg.prompts_dir).format(question=question, data=data_excerpt)
-    reply = client.complete(
-        [{"role": "user", "content": prompt}],
-        model=cfg.model,
-        temperature=cfg.temperature,
-        max_tokens=cfg.max_tokens,
-    )
-    obj = _reply_json(reply)
+    chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""))
+    obj = _reply_json(chain.ask("confidence", question=question, data=data_excerpt))
     score = obj.get("score") if isinstance(obj, dict) else None
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         return None

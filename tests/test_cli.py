@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -183,6 +184,44 @@ class TestEval:
         assert "cotapi,100.0" in capsys.readouterr().out
 
 
+class TestBinWidth:
+    @pytest.mark.parametrize("width", ["-5", "0", "wide"])
+    def test_report_rejects_non_positive(self, workspace, capsys, width):
+        rows = workspace / "rows.jsonl"
+        rows.write_text("")
+        with pytest.raises(SystemExit) as err:
+            run_cli("report", "--rows", str(rows), "--bin-width", width)
+        assert err.value.code == 2
+        assert "--bin-width" in capsys.readouterr().err
+
+    def test_eval_rejects_non_positive(self, workspace):
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "--dataset", "d.jsonl", "--technique", "direct", "--mock", "oracle", "--bin-width", "-5")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_config_rejects_non_positive(self, workspace, capsys, width):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        config = workspace / "conf.txt"
+        config.write_text(f"bin_width = {width}\n")
+        code = run_cli("eval", "--dataset", str(dataset), "--technique", "direct", "--mock", "oracle", "--config", str(config))
+        assert code == 1
+        assert "config line 1: bin_width" in capsys.readouterr().err
+
+    def test_report_width_applies(self, workspace, capsys):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        rows = workspace / "rows.jsonl"
+        assert run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "direct",
+            "--mock", "oracle", "--rows", str(rows), "--report", str(workspace / "r.txt"),
+        ) == 0
+        capsys.readouterr()
+        for argv, width in ((["--bin-width", "100000"], 100000), ([], 500)):
+            assert run_cli("report", "--rows", str(rows), "--format", "json", *argv) == 0
+            bins = json.loads(capsys.readouterr().out)["bins"]
+            assert bins and all(b["hi"] - b["lo"] == width for b in bins)
+
+
 class TestConfidence:
     def _write_tasks(self, workspace):
         tasks = workspace / "tasks.jsonl"
@@ -207,6 +246,13 @@ class TestConfidence:
         script.write_text(json.dumps({"When did": '```json\n{"score": 0.8}\n```', "": '```json\n{"score": 0.0}\n```'}))
         assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 0
         assert "Accuracy: 100.0%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mock", ["oracle", "random"])
+    def test_step_routed_mocks_need_no_instance(self, workspace, caplog, mock):
+        tasks = self._write_tasks(workspace)
+        with caplog.at_level(logging.WARNING):
+            assert run_cli("confidence", "--input", str(tasks), "--mock", mock, "--format", "json") == 0
+        assert not any("clamp" in rec.message for rec in caplog.records)
 
     def test_missing_actual_label(self, workspace, capsys):
         tasks = workspace / "tasks.jsonl"
@@ -250,6 +296,28 @@ class TestConfig:
         assert config["model"] == "gpt-test"
         assert config["parallelism"] == "2"
         assert config["threshold"] == "0.8"  # default survives
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "conf.txt"
+        path.write_text("model = m\nmodle = x\n")
+        from tkgqa.errors import TkgqaError
+
+        with pytest.raises(TkgqaError, match="config line 2: unknown key 'modle'"):
+            load_config(path)
+
+    def test_unknown_key_exits_1(self, workspace, capsys):
+        config = workspace / "conf.txt"
+        config.write_text("modle = x\n")
+        code = run_cli("eval", "--dataset", "d.jsonl", "--technique", "direct", "--mock", "oracle", "--config", str(config))
+        assert code == 1
+        assert "unknown key 'modle'" in capsys.readouterr().err
+
+    def test_every_default_key_accepted(self, tmp_path):
+        from tkgqa.cli import CONFIG_DEFAULTS
+
+        path = tmp_path / "conf.txt"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_DEFAULTS.items()))
+        assert load_config(path) == CONFIG_DEFAULTS
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "conf.txt"

@@ -1,12 +1,15 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
+from tkgqa import pipelines
 from tkgqa.answers import Answer, FunctionCall
 from tkgqa.errors import (
     AnswerParseError,
     ArgumentTypeError,
+    ClientError,
     ScriptExhaustedError,
     TkgqaError,
     UnknownFunctionError,
@@ -14,7 +17,9 @@ from tkgqa.errors import (
 from tkgqa.generator import GraphParams, generate_graph, generate_instances
 from tkgqa.graph import TKG
 from tkgqa.pipelines import (
+    LiveChatClient,
     OracleMockClient,
+    PipelineConfig,
     RandomFunctionMockClient,
     ScriptedMockClient,
     TECHNIQUES,
@@ -255,7 +260,7 @@ class TestStructuring:
 
         class NoDeclarations:
             def complete(self, messages, **kwargs):
-                if "fact(S, R, O, T0, T1)" in messages[-1]["content"]:
+                if kwargs["step"] == "structure_data":
                     return "I would rather not restate the facts."
                 return oracle.complete(messages, **kwargs)
 
@@ -380,7 +385,129 @@ class TestDeterminism:
         assert inst.tkg.facts is facts_before
 
 
+class RecordingClient:
+    """Delegates to the oracle mock and records the step of every call."""
+
+    def __init__(self, inst):
+        self.oracle = OracleMockClient(inst)
+        self.steps = []
+
+    def complete(self, messages, **kwargs):
+        self.steps.append(kwargs["step"])
+        return self.oracle.complete(messages, **kwargs)
+
+
+class TestSteps:
+    # tot, beam 2 / depth 2 / branch 3: 1 + (1 + 3) + (2 + 6) + 1 = 14 steps
+    TOT = ["tot_initial"] + (["tot_expand"] + ["tot_evaluate"] * 3) * 3 + ["tot_final"]
+    EXPECTED = {
+        "direct": ["direct"],
+        "cot": ["cot_1", "cot_2", "cot_3"],
+        "tot": TOT,
+        "cotr": ["cot_1", "cot_2", "cotr_3", "cotr_reflect"],
+        "cote": ["exec_analyze", "exec_solve"],
+        "cote_s": ["exec_analyze", "structure_data", "exec_solve"],
+        "cotapi": ["exec_analyze", "api_select", "api_final"],
+        "cotapi_s": ["exec_analyze", "structure_data", "api_select", "api_final"],
+    }
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_step_sequence(self, instances, technique):
+        inst = by_type(instances, "timeline")
+        client = RecordingClient(inst)
+        result = run(inst, technique, client)
+        assert client.steps == self.EXPECTED[technique]
+        assert result.llm_calls == len(client.steps)
+
+    def test_every_step_is_a_template_and_a_route(self):
+        steps = {step for chain in self.EXPECTED.values() for step in chain} | {"confidence"}
+        assert len(steps) == 16
+        assert set(OracleMockClient.ROUTES) == steps
+        templates = {p.stem for p in (Path(pipelines.__file__).parent / "prompts").glob("*.txt")}
+        assert templates == steps | {"statement"}
+
+    def test_confidence_is_a_step(self):
+        client = RecordingClient(None)
+        temporal_confidence("q", "d", client)
+        assert client.steps == ["confidence"]
+
+    def test_unknown_step_has_no_fallback(self, instances):
+        with pytest.raises(KeyError):
+            OracleMockClient(instances[0]).complete([{"role": "user", "content": "x"}], step="chat")
+
+
+class TestRewordedPrompts:
+    """The oracle wiring check holds for any prompt wording, because mocks route on the step."""
+
+    # the prompt substrings the mocks routed on before they routed on the step
+    OLD_ROUTES = (
+        "Available functions:", "Function results:", "fact(S, R, O, T0, T1)", "tqdsl program",
+        'keys "Option1"', 'field "score"', "temporal confidence",
+    )
+    REWORDING = {
+        "Available functions:": "Callable tools:",
+        "Function results:": "Tool output:",
+        "fact(S, R, O, T0, T1)": "fact(subject, relation, object, start, end)",
+        "tqdsl program": "tqdsl script",
+        'keys "Option1"': 'entries "Option1"',
+        'field "score"': 'entry "score"',
+        "temporal confidence": "temporal likelihood",
+    }
+
+    @pytest.fixture(scope="class")
+    def prompts_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("prompts")
+        for path in (Path(pipelines.__file__).parent / "prompts").glob("*.txt"):
+            text = "Reworded. " + path.read_text(encoding="utf-8")
+            for old, new in self.REWORDING.items():
+                text = text.replace(old, new)
+            assert not any(route in text for route in self.OLD_ROUTES), path.name
+            (out / path.name).write_text(text, encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_oracle_full_marks(self, instances, prompts_dir, technique):
+        cfg = PipelineConfig(prompts_dir=prompts_dir)
+        for inst in instances:
+            result = run(inst, technique, OracleMockClient(inst), cfg)
+            assert result.transcript[0]["prompt"].startswith("Reworded. ")
+            assert not result.errors, (technique, inst.id)
+            assert score(result, inst.gold, inst.question_type), (technique, inst.id)
+
+    def test_confidence(self, prompts_dir, caplog):
+        with caplog.at_level(logging.WARNING):
+            value = temporal_confidence("q", "d", OracleMockClient(None), PipelineConfig(prompts_dir=prompts_dir))
+        assert value == 1.0 and not caplog.records
+
+
+class TestLiveClient:
+    def test_sleeps_only_between_attempts(self, monkeypatch):
+        import requests
+
+        class Unavailable:
+            status_code = 503
+            text = "busy"
+
+        posts, sleeps = [], []
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(kwargs) or Unavailable())
+        monkeypatch.setattr(pipelines.time, "sleep", sleeps.append)
+        client = LiveChatClient("http://endpoint.invalid", "key", max_retries=4, requests_per_second=0)
+        with pytest.raises(ClientError, match="after 4 attempts"):
+            client.complete([{"role": "user", "content": "x"}], model="m", step="direct")
+        assert len(posts) == 4
+        assert sleeps == [1, 2, 4]
+
+
 class TestTemporalConfidence:
+    def test_oracle_mock_scores_one_without_clamp(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            value = temporal_confidence("q", "d", OracleMockClient(None))
+        assert value == 1.0
+        assert not any("clamp" in rec.message for rec in caplog.records)
+
+    def test_random_mock_needs_no_instance(self):
+        assert temporal_confidence("q", "d", RandomFunctionMockClient(None, seed=3)) == 1.0
+
     def test_parsed_score(self):
         client = ScriptedMockClient([fenced({"score": 0.95})])
         assert temporal_confidence("q", "d", client) == 0.95
