@@ -54,13 +54,24 @@ CONFIG_DEFAULTS = {
 
 def positive_int(text: str) -> int:
     """An integer above 0; as an argparse type, its ValueError is a usage error."""
-    if int(text) <= 0:
-        raise ValueError(text)
-    return int(text)
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not above 0")
+    return value
+
+
+# how each numeric config value is read; a ValueError is a bad value
+CONFIG_PARSERS = {
+    "temperature": float,
+    "max_tokens": positive_int,
+    "parallelism": positive_int,
+    "threshold": float,
+    "bin_width": positive_int,
+}
 
 
 def load_config(path: str | Path | None) -> dict[str, str]:
-    """Parse a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS."""
+    """Parse and check a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS."""
     config = dict(CONFIG_DEFAULTS)
     if path is None:
         return config
@@ -73,19 +84,17 @@ def load_config(path: str | Path | None) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise TkgqaError(f"config line {line_no}: unknown key {key!r}")
-        if key == "bin_width" and value:
-            try:
-                positive_int(value)
-            except ValueError:
-                raise TkgqaError(f"config line {line_no}: bin_width must be an integer > 0") from None
+        try:
+            CONFIG_PARSERS.get(key, str)(value)
+        except ValueError as exc:
+            raise TkgqaError(f"config line {line_no}: {key}: {exc}") from None
         config[key] = value
     return config
 
 
-def _setting(args_value, config: dict, key: str, cast=str):
-    if args_value is not None:
-        return args_value
-    return cast(config[key]) if config.get(key) not in (None, "") else None
+def _setting(args_value, config: dict, key: str):
+    """The CLI value if given, else the config value read by its parser."""
+    return args_value if args_value is not None else CONFIG_PARSERS.get(key, str)(config[key])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +170,7 @@ def _make_live_client(args, config) -> LiveChatClient:
     return LiveChatClient(
         base_url,
         api_key,
-        max_in_flight=int(_setting(args.parallelism, config, "parallelism", int) or 4),
+        max_in_flight=_setting(args.parallelism, config, "parallelism"),
     )
 
 
@@ -179,8 +188,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = _setting(args.model, config, "model") or "mock"
     cfg = PipelineConfig(
         model=model,
-        temperature=float(_setting(args.temperature, config, "temperature", float) or 0.0),
-        max_tokens=int(_setting(None, config, "max_tokens", int) or 1024),
+        temperature=_setting(args.temperature, config, "temperature"),
+        max_tokens=_setting(None, config, "max_tokens"),
     )
 
     jobs = [(inst, tech) for tech in techniques for inst in instances]
@@ -196,9 +205,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result = run(inst, tech, client, cfg)
         return inst, result, score(result, inst.gold, inst.question_type)
 
-    outcomes = []
-    if live_client is not None and (args.parallelism or int(config["parallelism"])) > 1:
-        workers = args.parallelism or int(config["parallelism"])
+    workers = _setting(args.parallelism, config, "parallelism")
+    if live_client is not None and workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one, jobs))
     else:
@@ -211,7 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.transcripts, "w", encoding="utf-8") as fh:
             for _inst, result, _ok in outcomes:
                 fh.write(json.dumps(result.transcript_record(), sort_keys=True) + "\n")
-    report = aggregate(rows, bin_width=int(_setting(args.bin_width, config, "bin_width", int) or 500))
+    report = aggregate(rows, bin_width=_setting(args.bin_width, config, "bin_width"))
     rendered = _render_report(report, args.format)
     if args.report:
         Path(args.report).write_text(rendered + "\n", encoding="utf-8")
@@ -230,7 +238,7 @@ def _render_report(report, fmt: str) -> str:
 
 def cmd_confidence(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    threshold = args.threshold if args.threshold is not None else float(config["threshold"])
+    threshold = _setting(args.threshold, config, "threshold")
     pairs = []
     for line_no, obj in read_jsonl(args.input):
         if "actual" not in obj or obj["actual"] not in ("knowledge", "temporal"):
@@ -238,11 +246,9 @@ def cmd_confidence(args: argparse.Namespace) -> int:
         pairs.append((obj["actual"], str(obj.get("question", "")), str(obj.get("data", ""))))
 
     cfg = PipelineConfig(model=_setting(args.model, config, "model") or "mock")
-    scores = []
-    live_client = _make_live_client(args, config) if args.mock is None else None
-    for actual, question, data in pairs:
-        client = live_client if live_client is not None else make_mock_client(args.mock)
-        scores.append((actual, temporal_confidence(question, data, client, cfg)))
+    # one client for every task, so an ordered mock script is read in task order
+    client = _make_live_client(args, config) if args.mock is None else make_mock_client(args.mock)
+    scores = [(actual, temporal_confidence(question, data, client, cfg)) for actual, question, data in pairs]
     report = confidence_report(scores, threshold=threshold)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model name for live endpoints")
     p.add_argument("--temperature", type=float, default=None, help="sampling temperature")
     p.add_argument("--seed", type=int, default=None, help="seed for seeded mocks")
-    p.add_argument("--parallelism", type=int, default=None, help="live-endpoint worker bound")
+    p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker bound")
     p.add_argument("--rows", default=None, help="write scored rows JSONL here")
     p.add_argument("--transcripts", default=None, help="write transcript JSONL here")
     p.add_argument("--report", default=None, help="write the report here instead of stdout")
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-url", default=None, help="chat-completions endpoint base URL")
     p.add_argument("--model", default=None, help="model name for live endpoints")
     p.add_argument("--threshold", type=float, default=None, help="temporal threshold (default 0.8)")
-    p.add_argument("--parallelism", type=int, default=None, help="live-endpoint worker bound")
+    p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker bound")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_confidence)

@@ -15,6 +15,7 @@ stay reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -347,18 +348,11 @@ def _rand_window(rng: random.Random, g: TKG, around: Fact | None = None) -> tupl
     return (a, b) if a <= b else (b, a)
 
 
-def _unique_episode_triple(rng: random.Random, g: TKG, tries: int = 30) -> Fact | None:
+def _episode_triple(rng: random.Random, g: TKG, multi: bool = False, tries: int = 30) -> Fact | None:
+    """A random fact whose triple has exactly one episode, or several with ``multi``."""
     for _ in range(tries):
         f = _rand_fact(rng, g)
-        if len(g.query(f.s, f.r, f.o)) == 1:
-            return f
-    return None
-
-
-def _multi_episode_triple(rng: random.Random, g: TKG, tries: int = 30) -> Fact | None:
-    for _ in range(tries):
-        f = _rand_fact(rng, g)
-        if len(g.query(f.s, f.r, f.o)) > 1:
+        if (len(g.query(f.s, f.r, f.o)) > 1) == multi:
             return f
     return None
 
@@ -366,7 +360,7 @@ def _multi_episode_triple(rng: random.Random, g: TKG, tries: int = 30) -> Fact |
 def _anchor_hitting(rng: random.Random, g: TKG, targets: list[Fact], point: str, tries: int = 30) -> Fact | None:
     """Unique-episode anchor whose chosen endpoint lands inside some target episode."""
     for _ in range(tries):
-        anchor = _unique_episode_triple(rng, g)
+        anchor = _episode_triple(rng, g)
         if anchor is None:
             return None
         t = anchor.t0 if point == "start" else anchor.t1
@@ -420,14 +414,17 @@ def _sample_event_at_time_t(rng, g, tpl):
     return args, fills
 
 
-def _sample_event_at_what_time(rng, g, tpl):
+def _sample_episode(rng, g, tpl):
+    """One triple's episode: its endpoint (when the template names one) or its duration."""
     needs_occurrence = tpl.meta.get("occurrence", False)
-    f = _multi_episode_triple(rng, g) if needs_occurrence else _unique_episode_triple(rng, g)
+    f = _episode_triple(rng, g, multi=needs_occurrence)
     if f is None:
         return None
     episodes = g.query(f.s, f.r, f.o)
     occurrence = rng.randint(1, len(episodes)) if needs_occurrence else None
-    args = {"s": f.s, "r": f.r, "o": f.o, "endpoint": tpl.meta["endpoint"]}
+    args = {"s": f.s, "r": f.r, "o": f.o}
+    if "endpoint" in tpl.meta:
+        args["endpoint"] = tpl.meta["endpoint"]
     fills = dict(args)
     if occurrence is not None:
         args["occurrence"] = occurrence
@@ -460,12 +457,13 @@ def _sample_event_at_another(rng, g, tpl):
     return args, fills
 
 
-def _sample_number_of_events(rng, g, tpl):
+def _sample_window(rng, g, tpl):
+    """A pattern and a window, given literally or as an anchor episode."""
     f = _rand_fact(rng, g)
     args = _pattern_args(f, tpl.side)
     fills = dict(args)
     if tpl.implicit:
-        anchor = _unique_episode_triple(rng, g)
+        anchor = _episode_triple(rng, g)
         if anchor is None or (anchor.s, anchor.r, anchor.o) == (f.s, f.r, f.o):
             return None
         window = (anchor.t0, anchor.t1)
@@ -474,22 +472,6 @@ def _sample_number_of_events(rng, g, tpl):
         window = _rand_window(rng, g, around=f)
         fills.update(a=window[0], b=window[1])
     args["window"] = list(window)
-    return args, fills
-
-
-def _sample_relation_duration(rng, g, tpl):
-    needs_occurrence = tpl.meta.get("occurrence", False)
-    f = _multi_episode_triple(rng, g) if needs_occurrence else _unique_episode_triple(rng, g)
-    if f is None:
-        return None
-    episodes = g.query(f.s, f.r, f.o)
-    occurrence = rng.randint(1, len(episodes)) if needs_occurrence else None
-    args = {"s": f.s, "r": f.r, "o": f.o}
-    fills = dict(args)
-    if occurrence is not None:
-        args["occurrence"] = occurrence
-        fills["occurrence"] = occurrence
-        fills["occurrence_ord"] = _ordinal(occurrence)
     return args, fills
 
 
@@ -508,7 +490,7 @@ def _sample_during_triplet(rng, g, tpl):
     matches = _pattern_matches(g, args)
     anchor = None
     for _ in range(30):
-        candidate = _unique_episode_triple(rng, g)
+        candidate = _episode_triple(rng, g)
         if candidate is None:
             return None
         if any(x != candidate and x.interval.overlaps(candidate.interval) for x in matches):
@@ -543,23 +525,6 @@ def _sample_total_time(rng, g, tpl):
     f = _rand_fact(rng, g)
     args = _pattern_args(f, tpl.side)
     return args, dict(args)
-
-
-def _sample_within_timespan(rng, g, tpl):
-    f = _rand_fact(rng, g)
-    args = {"s": f.s, "r": f.r, "o": f.o}
-    fills = dict(args)
-    if tpl.implicit:
-        anchor = _unique_episode_triple(rng, g)
-        if anchor is None or (anchor.s, anchor.r, anchor.o) == (f.s, f.r, f.o):
-            return None
-        window = (anchor.t0, anchor.t1)
-        fills.update(_anchor_fills(anchor))
-    else:
-        window = _rand_window(rng, g, around=f)
-        fills.update(a=window[0], b=window[1])
-    args["window"] = list(window)
-    return args, fills
 
 
 def _sample_without_relation(rng, g, tpl):
@@ -657,16 +622,16 @@ _SAMPLERS = {
     "timeline": _sample_timeline,
     "before_after": _sample_before_after,
     "event_at_time_t": _sample_event_at_time_t,
-    "event_at_what_time": _sample_event_at_what_time,
+    "event_at_what_time": _sample_episode,
     "first_last": _sample_first_last,
     "event_at_the_time_of_another_event": _sample_event_at_another,
-    "number_of_events_in_time_interval": _sample_number_of_events,
-    "relation_duration": _sample_relation_duration,
+    "number_of_events_in_time_interval": _sample_window,
+    "relation_duration": _sample_episode,
     "get_entity_by_duration": _sample_entity_by_duration,
     "find_entities_during_triplet": _sample_during_triplet,
     "get_entities_in_between": _sample_in_between,
     "calculate_total_relation_time": _sample_total_time,
-    "is_triplet_within_timespan": _sample_within_timespan,
+    "is_triplet_within_timespan": _sample_window,
     "check_interval_without_relation": _sample_without_relation,
     "compare_triplet_durations": _sample_compare_durations,
     "sequence_of_relations_in_interval": _sample_sequence,
@@ -687,10 +652,14 @@ class TaskInstance:
     gold: Answer
     canonical_call: FunctionCall
     tkg: TKG
-    tkg_text: str
-    token_estimate: int
+    tkg_text: str  # render_text(tkg, seed=render_seed); in memory only
+    render_seed: int
     tkg_ref: str | None = None  # relative path used on export; inline facts if None
     template_index: int | None = None  # in-memory only, for distribution checks
+
+    @property
+    def token_estimate(self) -> int:
+        return estimate_tokens(self.tkg_text)
 
     def to_json(self) -> dict:
         if self.tkg_ref is not None:
@@ -705,8 +674,7 @@ class TaskInstance:
             "gold": self.gold.to_json(),
             "canonical_call": self.canonical_call.to_json(),
             "tkg": tkg_field,
-            "tkg_text": self.tkg_text,
-            "token_estimate": self.token_estimate,
+            "render_seed": self.render_seed,
         }
 
 
@@ -752,8 +720,8 @@ def generate_instances(
     unknown = set(requested) - set(QUESTION_TYPES)
     if unknown:
         raise ValueError(f"unknown question types: {sorted(unknown)}")
-    tkg_text = render_text(g, seed=subseed(seed, "render"))
-    tokens = estimate_tokens(tkg_text)
+    render_seed = subseed(seed, "render")
+    tkg_text = render_text(g, seed=render_seed)
 
     instances = []
     for qtype in requested:
@@ -789,7 +757,7 @@ def generate_instances(
                     canonical_call=call,
                     tkg=g,
                     tkg_text=tkg_text,
-                    token_estimate=tokens,
+                    render_seed=render_seed,
                     tkg_ref=tkg_ref,
                     template_index=tpl_index,
                 )
@@ -817,24 +785,29 @@ def export_instances(instances: Iterable[TaskInstance], sink: str | Path | IO[st
     write_jsonl([json.dumps(inst.to_json(), sort_keys=True) for inst in instances], sink)
 
 
-def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_cache: dict) -> TaskInstance:
-    required = {"id", "type", "question", "answer_type", "gold", "canonical_call", "tkg", "tkg_text", "token_estimate"}
-    missing = required - set(obj)
+_DATASET_KEYS = {"id", "type", "question", "answer_type", "gold", "canonical_call", "tkg", "render_seed"}
+
+
+def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at, text_at) -> TaskInstance:
+    missing = _DATASET_KEYS - set(obj)
     if missing:
-        raise ParseError(line_no, f"missing keys {sorted(missing)}")
+        hint = "; a dataset without render_seed must be regenerated with gen-dataset" if "render_seed" in missing else ""
+        raise ParseError(line_no, f"missing keys {sorted(missing)}{hint}")
+    seed = obj["render_seed"]
+    if type(seed) is not int:  # bool is an int subclass
+        raise ParseError(line_no, f"render_seed must be an integer, got {seed!r}")
     tkg_field = obj["tkg"]
     tkg_ref: str | None = None
     if isinstance(tkg_field, str):
         tkg_ref = tkg_field
         path = (base_dir / tkg_field).resolve()
-        if path not in graph_cache:
-            graph_cache[path] = load_tkg(path)
-        graph = graph_cache[path]
+        graph, tkg_text = graph_at(path), text_at(path, seed)
     elif isinstance(tkg_field, list):
         try:
             graph = TKG(tkg_field)
         except TkgqaError as exc:
             raise ParseError(line_no, f"bad inline tkg: {exc}") from exc
+        tkg_text = render_text(graph, seed=seed)
     else:
         raise ParseError(line_no, "tkg must be a path string or an inline fact array")
     try:
@@ -850,15 +823,20 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_cache: di
         gold=gold,
         canonical_call=call,
         tkg=graph,
-        tkg_text=str(obj["tkg_text"]),
-        token_estimate=int(obj["token_estimate"]),
+        tkg_text=tkg_text,
+        render_seed=seed,
         tkg_ref=tkg_ref,
     )
 
 
 def import_instances(source: str | Path, base_dir: str | Path | None = None) -> list[TaskInstance]:
-    """Load a dataset file; graph paths resolve relative to the file (or base_dir)."""
+    """Load a dataset file; graph paths resolve relative to the file (or base_dir).
+
+    Each graph file is loaded once and rendered once per render seed; its
+    instances share that one text.
+    """
     path = Path(source)
     base = Path(base_dir) if base_dir is not None else path.parent
-    graph_cache: dict = {}
-    return [_instance_from_json(line_no, obj, base, graph_cache) for line_no, obj in read_jsonl(path)]
+    graph_at = functools.cache(load_tkg)
+    text_at = functools.cache(lambda graph_path, seed: render_text(graph_at(graph_path), seed=seed))
+    return [_instance_from_json(line_no, obj, base, graph_at, text_at) for line_no, obj in read_jsonl(path)]

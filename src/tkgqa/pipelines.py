@@ -164,7 +164,10 @@ class ScriptedMockClient:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedMockClient":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ClientError(f"mock script is not valid JSON: {path}: {exc}") from None
         if not isinstance(obj, (list, dict)):
             raise ClientError(f"mock script must be a JSON array or object: {path}")
         return cls(obj)

@@ -114,6 +114,26 @@ class TestVerify:
         assert err.startswith("error: line 2: bad inline tkg: invalid fact at index 1")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seed, reason", [(None, "must be regenerated with gen-dataset"),
+                                              ("3", "render_seed must be an integer"),
+                                              (True, "render_seed must be an integer")])
+    def test_bad_render_seed_is_a_line_error(self, workspace, capsys, seed, reason):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        lines = dataset.read_text().splitlines()
+        second = json.loads(lines[1])
+        if seed is None:  # a line written before lines carried render_seed
+            del second["render_seed"]
+            second.update(tkg_text="E1 held R1 with E2 from 2000 to 2005.", token_estimate=10)
+        else:
+            second["render_seed"] = seed
+        lines[1] = json.dumps(second, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "render_seed" in err and reason in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_oracle_mock_full_marks(self, workspace, capsys):
@@ -183,6 +203,22 @@ class TestEval:
         assert run_cli("report", "--rows", str(rows), "--format", "csv") == 0
         assert "cotapi,100.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "confidence"])
+    def test_malformed_mock_script_exits_1(self, workspace, capsys, command):
+        script = workspace / "bad.json"
+        script.write_text("{not json")
+        tasks = workspace / "tasks.jsonl"
+        tasks.write_text(json.dumps({"question": "q", "actual": "temporal"}) + "\n")
+        if command == "eval":
+            argv = ["eval", "--dataset", str(gen_dataset(workspace, gen_graph(workspace))), "--technique", "direct"]
+        else:
+            argv = ["confidence", "--input", str(tasks)]
+        capsys.readouterr()
+        assert run_cli(*argv, "--mock", str(script)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mock script is not valid JSON") and "bad.json" in err
+        assert "Traceback" not in err
+
 
 class TestBinWidth:
     @pytest.mark.parametrize("width", ["-5", "0", "wide"])
@@ -244,6 +280,13 @@ class TestConfidence:
         script = workspace / "mock.json"
         # exactly 0.8 must classify as temporal under the default threshold
         script.write_text(json.dumps({"When did": '```json\n{"score": 0.8}\n```', "": '```json\n{"score": 0.0}\n```'}))
+        assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 0
+        assert "Accuracy: 100.0%" in capsys.readouterr().out
+
+    def test_ordered_script_spans_tasks(self, workspace, capsys):
+        tasks = self._write_tasks(workspace)
+        script = workspace / "mock.json"
+        script.write_text(json.dumps(['```json\n{"score": 0.9}\n```', '```json\n{"score": 0.1}\n```']))
         assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 0
         assert "Accuracy: 100.0%" in capsys.readouterr().out
 
@@ -318,6 +361,17 @@ class TestConfig:
         path = tmp_path / "conf.txt"
         path.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_DEFAULTS.items()))
         assert load_config(path) == CONFIG_DEFAULTS
+
+    @pytest.mark.parametrize("key, value", [("temperature", "hot"), ("max_tokens", "0"), ("parallelism", "two"),
+                                            ("threshold", ""), ("bin_width", "1.5")])
+    def test_bad_value_exits_1(self, workspace, capsys, key, value):
+        config = workspace / "conf.txt"
+        config.write_text(f"model = m\n{key} = {value}\n")
+        for command in (["eval", "--dataset", "d.jsonl", "--technique", "direct"], ["confidence", "--input", "t.jsonl"]):
+            assert run_cli(*command, "--mock", "oracle", "--config", str(config)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config line 2: {key}: ")
+            assert "Traceback" not in err
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "conf.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -19,6 +20,7 @@ from tkgqa.generator import (
     sample_call,
     verify_instance,
 )
+import tkgqa.generator
 from tkgqa.graph import TKG, render_text, save_tkg
 from tkgqa.oracle import oracle_answer
 from tkgqa.answers import Answer
@@ -224,6 +226,69 @@ class TestDatasetFiles:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ParseError):
             import_instances(path)
+
+    def test_line_stores_render_seed_not_text(self, tmp_path):
+        g = generate_graph(GraphParams(seed=5, n_facts=80))
+        path = tmp_path / "d.jsonl"
+        export_instances(generate_instances(g, per_type=1, seed=5), path)
+        line = json.loads(path.read_text().splitlines()[0])
+        assert set(line) == {"id", "type", "question", "answer_type", "gold", "canonical_call", "tkg", "render_seed"}
+
+    @pytest.mark.parametrize("tkg_ref", [None, "g.jsonl"])
+    def test_round_trip_rederives_text(self, tmp_path, tkg_ref):
+        g = generate_graph(GraphParams(seed=5, n_facts=80))
+        save_tkg(g, tmp_path / "g.jsonl")
+        instances = generate_instances(g, per_type=2, seed=5, tkg_ref=tkg_ref)
+        path = tmp_path / "d.jsonl"
+        export_instances(instances, path)
+        loaded = import_instances(path)
+        for mine, theirs in zip(instances, loaded, strict=True):
+            assert theirs.render_seed == mine.render_seed
+            assert theirs.tkg_text == mine.tkg_text == render_text(g, seed=mine.render_seed)
+            assert theirs.token_estimate == mine.token_estimate == estimate_tokens(mine.tkg_text)
+
+    def test_one_render_per_graph(self, tmp_path, monkeypatch):
+        g = generate_graph(GraphParams(seed=5, n_facts=80))
+        save_tkg(g, tmp_path / "g.jsonl")
+        path = tmp_path / "d.jsonl"
+        export_instances(generate_instances(g, per_type=2, seed=5, tkg_ref="g.jsonl"), path)
+        calls = []
+
+        def counting_render(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return render_text(*args, **kwargs)
+
+        monkeypatch.setattr(tkgqa.generator, "render_text", counting_render)
+        loaded = import_instances(path)
+        assert len(loaded) == 34 and len(calls) == 1
+        assert all(inst.tkg_text is loaded[0].tkg_text for inst in loaded)
+
+    @pytest.mark.parametrize("seed", ["missing", "7", 7.0, True, None, [7]])
+    def test_bad_render_seed_is_a_line_error(self, tmp_path, seed):
+        g = generate_graph(GraphParams(seed=5, n_facts=80))
+        path = tmp_path / "d.jsonl"
+        export_instances(generate_instances(g, per_type=1, seed=5), path)
+        lines = path.read_text().splitlines()
+        second = json.loads(lines[1])
+        if seed == "missing":
+            del second["render_seed"]
+        else:
+            second["render_seed"] = seed
+        lines[1] = json.dumps(second)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="render_seed") as err:
+            import_instances(path)
+        assert err.value.line == 2
+
+
+def test_sampling_output_pinned():
+    """Guards the samplers' RNG call order; the digest was recorded before they were merged."""
+    g = generate_graph(GraphParams(seed=5, n_facts=80))
+    digest = hashlib.sha256()
+    for inst in generate_instances(g, per_type=2, seed=5):
+        record = [inst.id, inst.question_text, inst.gold.to_json(), inst.canonical_call.to_json()]
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "538c1c1677a4f212ba5fc4541488385992185ebe733567116f053e4871281feb"
 
 
 def test_sample_call_produces_valid_calls():
