@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -19,14 +20,14 @@ from .errors import ClientError, ParseError, TkgqaError
 from .generator import (
     GraphParams,
     QUESTION_TYPES,
-    estimate_tokens,
     export_instances,
     generate_graph,
     generate_instances,
     import_instances,
     verify_instance,
 )
-from .graph import load_tkg, read_jsonl, render_text, save_tkg
+# render_text stays importable from here because perfbench/tracer.py patches tkgqa.cli.render_text
+from .graph import load_tkg, read_jsonl, render_text, save_tkg  # noqa: F401
 from .oracle import oracle_answer
 from . import pipelines
 from .pipelines import LiveChatClient, PipelineConfig, make_mock_client, run, temporal_confidence
@@ -112,11 +113,7 @@ def cmd_gen_graph(args: argparse.Namespace) -> int:
     )
     g = generate_graph(params)
     save_tkg(g, args.out)
-    tokens = estimate_tokens(render_text(g, seed=args.seed))
-    print(
-        f"entities={len(g.entities)} relations={len(g.relations)} "
-        f"facts={len(g.facts)} token_estimate={tokens} out={args.out}"
-    )
+    print(f"entities={len(g.entities)} relations={len(g.relations)} facts={len(g.facts)} out={args.out}")
     return 0
 
 
@@ -206,19 +203,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return inst, result, score(result, inst.gold, inst.question_type)
 
     workers = _setting(args.parallelism, config, "parallelism")
-    if live_client is not None and workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(job) for job in jobs]
-
-    rows = [make_row(inst, result, ok) for inst, result, ok in outcomes]
+    rows = []
+    # each transcript is written in job order as its job finishes; only rows are kept
+    with contextlib.ExitStack() as stack:
+        transcripts = stack.enter_context(open(args.transcripts, "w", encoding="utf-8")) if args.transcripts else None
+        mapper = map
+        if live_client is not None and workers > 1:
+            mapper = stack.enter_context(concurrent.futures.ThreadPoolExecutor(max_workers=workers)).map
+        for inst, result, ok in mapper(run_one, jobs):
+            rows.append(make_row(inst, result, ok))
+            if transcripts is not None:
+                transcripts.write(json.dumps(result.transcript_record(), sort_keys=True) + "\n")
     if args.rows:
         save_rows(rows, args.rows)
-    if args.transcripts:
-        with open(args.transcripts, "w", encoding="utf-8") as fh:
-            for _inst, result, _ok in outcomes:
-                fh.write(json.dumps(result.transcript_record(), sort_keys=True) + "\n")
     report = aggregate(rows, bin_width=_setting(args.bin_width, config, "bin_width"))
     rendered = _render_report(report, args.format)
     if args.report:

@@ -116,15 +116,6 @@ class Call:
 
 
 @dataclass(frozen=True)
-class FactDecl:
-    s: str
-    r: str
-    o: str
-    t0: int
-    t1: int
-
-
-@dataclass(frozen=True)
 class Let:
     name: str
     expr: "Pipe"
@@ -141,22 +132,32 @@ class Program:
 
     @property
     def fact_decls(self) -> tuple:
-        return tuple(st for st in self.statements if isinstance(st, FactDecl))
+        return tuple(st for st in self.statements if isinstance(st, Fact))
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"-?\d+"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<pipe>\|>)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>{_INT})
+  | (?P<ident>{_IDENT})
   | (?P<cmp>(<=|>=|==|<|>|=))
   | (?P<punct>[(),\[\]*])
     """,
     re.VERBOSE,
+)
+
+# A whole ``fact(s, r, o, t0, t1)`` line, built from the tokenizer's classes:
+# a line it matches parses to the declaration the general parser would give,
+# and every other line goes through _tokenize and _LineParser.
+_FACT_LINE_RE = re.compile(
+    rf"\s*fact\s*\(\s*({_IDENT})\s*,\s*({_IDENT})\s*,\s*({_IDENT})\s*,\s*({_INT})\s*,\s*({_INT})\s*\)\s*"
 )
 
 
@@ -239,7 +240,7 @@ class _LineParser:
             return self.let_binding()
         return ExprStmt(self.expression())
 
-    def fact_decl(self) -> FactDecl:
+    def fact_decl(self) -> Fact:
         self.expect("ident", "fact")
         self.expect("punct", "(")
         s = self.expect("ident").text
@@ -253,7 +254,7 @@ class _LineParser:
         t1 = int(self.expect("int").text)
         self.expect("punct", ")")
         self.expect("eol")
-        return FactDecl(s, r, o, t0, t1)
+        return Fact(s, r, o, t0, t1)
 
     def let_binding(self) -> Let:
         self.expect("ident", "let")
@@ -391,16 +392,26 @@ class _LineParser:
 
 
 def parse(source: str) -> Program:
-    """Parse tqdsl source; raises on the first error with line/column."""
+    """Parse tqdsl source; raises on the first error with line/column.
+
+    A ``fact(...)`` line takes a one-regex fast path; it gives the same
+    declaration, and any line it does not match the same error, as the
+    general line parser.
+    """
     statements = []
     known_vars: set[str] = set()
     last_line = 0
+    match_fact_line = _FACT_LINE_RE.fullmatch
     for line_no, line in enumerate(source.splitlines(), start=1):
-        if not line.strip():
+        m = match_fact_line(line)
+        if m is not None:
+            s, r, o, t0, t1 = m.groups()
+            statements.append(Fact(s, r, o, int(t0), int(t1)))
+        elif not line.strip():
             continue
+        else:
+            statements.append(_LineParser(_tokenize(line, line_no), line_no, known_vars).statement())
         last_line = line_no
-        parser = _LineParser(_tokenize(line, line_no), line_no, known_vars)
-        statements.append(parser.statement())
     if not statements:
         raise DslSyntaxError("empty program", max(last_line, 1), 1)
     if not isinstance(statements[-1], ExprStmt):
@@ -446,7 +457,7 @@ def pretty_print(program: Program) -> str:
     """Canonical source text; parsing it back yields an equal AST."""
     lines = []
     for st in program.statements:
-        if isinstance(st, FactDecl):
+        if isinstance(st, Fact):
             lines.append(f"fact({st.s}, {st.r}, {st.o}, {st.t0}, {st.t1})")
         elif isinstance(st, Let):
             lines.append(f"let {st.name} = {_print_expr(st.expr)}")
@@ -647,12 +658,12 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
     if len(decls) > limits.max_facts:
         raise FactLimitExceededError(f"fact budget {limits.max_facts} exceeded ({len(decls)} declared)")
     if decls:
-        g = TKG(Fact(d.s, d.r, d.o, d.t0, d.t1) for d in decls)
+        g = TKG(decls)
     assert g is not None
     interp = _Interpreter(g, limits)
     result: object = None
     for st in program.statements:
-        if isinstance(st, FactDecl):
+        if isinstance(st, Fact):
             continue
         if isinstance(st, Let):
             interp.env[st.name] = interp.eval_expr(st.expr)

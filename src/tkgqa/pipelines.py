@@ -574,8 +574,14 @@ class _Chain:
         return reply
 
 
+@functools.lru_cache(maxsize=8)
+def _excerpt(text: str) -> str:
+    """The first EXCERPT_FACTS lines of a rendered text, derived once per text."""
+    return "\n".join(text.splitlines()[:EXCERPT_FACTS])
+
+
 def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> str:
-    data = instance.tkg_text if full_text else "\n".join(instance.tkg_text.splitlines()[:EXCERPT_FACTS])
+    data = instance.tkg_text if full_text else _excerpt(instance.tkg_text)
     hint = _ANSWER_HINTS.get(instance.answer_type, "")
     return _prompt("statement", prompts_dir).format(
         question=instance.question_text, answer_hint=hint, data=data

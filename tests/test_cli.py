@@ -1,10 +1,17 @@
 import json
 import logging
 import os
+import random
+import re
+import time
 
 import pytest
 
+import tkgqa.cli
+import tkgqa.generator
+import tkgqa.graph
 from tkgqa.cli import build_parser, load_config, main
+from tkgqa.errors import ClientError
 
 
 def run_cli(*argv) -> int:
@@ -49,6 +56,16 @@ class TestGenGraph:
         with pytest.raises(SystemExit) as err:
             run_cli("gen-graph", "--out", "g.jsonl")
         assert err.value.code == 2
+
+    def test_never_renders_text(self, workspace, monkeypatch, capsys):
+        def no_render(*args, **kwargs):
+            raise AssertionError("gen-graph rendered the graph")
+
+        for module in (tkgqa.cli, tkgqa.generator, tkgqa.graph):
+            monkeypatch.setattr(module, "render_text", no_render)
+        path = gen_graph(workspace, facts=77)
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(rf"entities=\d+ relations=8 facts=77 out={re.escape(str(path))}", line)
 
 
 class TestGenDataset:
@@ -164,6 +181,46 @@ class TestEval:
                 "--report", str(workspace / "r.txt"),
             ) == 0
         assert (workspace / "t1.jsonl").read_bytes() == (workspace / "t2.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("error, code", [(ClientError("request failed"), 1), (RuntimeError("bug"), None)])
+    def test_transcripts_of_finished_jobs_survive_a_failing_job(self, workspace, monkeypatch, error, code):
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        argv = ["eval", "--dataset", str(dataset), "--technique", "direct,cote", "--mock", "oracle"]
+        assert run_cli(*argv, "--transcripts", "full.jsonl") == 0
+        real_run = tkgqa.cli.run
+        finished = []
+
+        def run_six(inst, technique, client, cfg):
+            if len(finished) == 6:
+                raise error
+            finished.append(inst.id)
+            return real_run(inst, technique, client, cfg)
+
+        monkeypatch.setattr(tkgqa.cli, "run", run_six)
+        argv += ["--transcripts", "partial.jsonl", "--rows", "rows.jsonl"]
+        if code is None:
+            with pytest.raises(type(error)):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == code
+        full = (workspace / "full.jsonl").read_text().splitlines()
+        assert (workspace / "partial.jsonl").read_text().splitlines() == full[:6]
+        assert not (workspace / "rows.jsonl").exists()
+
+    def test_pooled_live_eval_writes_in_job_order(self, workspace, monkeypatch):
+        class SlowClient:  # replies after a random delay, so pooled jobs finish out of order
+            def complete(self, messages, *, model, temperature, max_tokens, step):
+                time.sleep(random.random() / 200)
+                return '{"explanation": "e", "answer": "E1"}'
+
+        monkeypatch.setattr(tkgqa.cli, "_make_live_client", lambda args, config: SlowClient())
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        argv = ["eval", "--dataset", str(dataset), "--technique", "direct,cot", "--base-url", "http://localhost:9"]
+        for name, workers in (("serial", "1"), ("pooled", "4")):
+            assert run_cli(*argv, "--parallelism", workers, "--transcripts", f"{name}.jsonl", "--rows", f"{name}-rows.jsonl") == 0
+        assert (workspace / "pooled.jsonl").read_text() == (workspace / "serial.jsonl").read_text()
+        rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").open()] for name in ("serial", "pooled")}
+        assert rows["pooled"] == rows["serial"]
 
     def test_live_without_api_key_fails_before_requests(self, workspace, capsys, monkeypatch):
         monkeypatch.delenv("TKGQA_API_KEY", raising=False)

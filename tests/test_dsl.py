@@ -1,7 +1,11 @@
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tkgqa import dsl
 from tkgqa.answers import Answer
 from tkgqa.dsl import (
     MAX_VALUE_DEPTH,
@@ -20,6 +24,8 @@ from tkgqa.errors import (
     StepLimitExceededError,
     UnknownIdentifierError,
 )
+from tkgqa.graph import Fact
+from tkgqa.pipelines import _structuring_program
 from conftest import random_graph
 
 GOLDEN_PROGRAMS = [
@@ -118,6 +124,98 @@ class TestParse:
     def test_no_comments_in_pretty_print(self):
         for source in GOLDEN_PROGRAMS:
             assert "#" not in pretty_print(parse(source))
+
+
+def _outcome(source: str):
+    """What parsing ``source`` gives: the statements and their types, or the error's type, position and message."""
+    try:
+        program = parse(source)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "col", None), str(exc)
+    return program.statements, tuple(type(stmt) for stmt in program.statements)
+
+
+def _general_outcome(source: str):
+    """The same, with the fact-line fast path switched off so every line takes the general parser."""
+    with mock.patch.object(dsl, "_FACT_LINE_RE", re.compile(r"(?!)")):
+        return _outcome(source)
+
+
+_FAST_PATH_SAMPLES = (
+    "fact(E1, R1, E2, 2000, 2005)",
+    " \tfact( E1 ,R1,E2 , -5 , 7 ) ",
+    "fact(let, facts, call, 0, 0)",
+    "fact\u3000(_a,_b,_c,\u0661,-\u0662)",
+)
+
+_WS = st.text(alphabet=" \t\u00a0\u2003\u3000\x1f", max_size=2)
+_DIGITS = st.text(alphabet="0123456789\u0661\u0662\u0969\uff13", min_size=1, max_size=5)
+_GOOD_IDS = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.sampled_from(["fact", "facts", "let", "call"]),
+)
+_GOOD_INTS = st.one_of(st.integers(-(10**6), 10**6).map(str), _DIGITS, _DIGITS.map(lambda d: "-" + d))
+_BAD_IDS = st.sampled_from(["E\u0661", "\u00c91", "1E", "E-1", "*", ""])
+_BAD_INTS = st.sampled_from(["- 5", "+5", "1_0", "\u00b2", "2.5", "--1", "E1", ""])
+_JUNK = st.sampled_from(["x", ")", "(", ",", "|> count", "#", "*", "1", "=", "fact", "\u200b"])
+
+
+@st.composite
+def _fact_shaped_lines(draw) -> str:
+    """A fact line with random whitespace, ids and ints; most get one defect."""
+    fields = [draw(_GOOD_IDS), draw(_GOOD_IDS), draw(_GOOD_IDS), draw(_GOOD_INTS), draw(_GOOD_INTS)]
+    parts = ["fact", "("] + [part for field in fields for part in (field, ",")]
+    parts[-1] = ")"  # fact ( s , r , o , t0 , t1 ): the fields are at 2, 4, 6, 8 and 10
+    defect = draw(st.sampled_from(["none", "id", "int", "junk", "drop"]))
+    if defect == "id":
+        parts[draw(st.sampled_from([2, 4, 6]))] = draw(_BAD_IDS)
+    elif defect == "int":
+        parts[draw(st.sampled_from([8, 10]))] = draw(_BAD_INTS)
+    elif defect == "junk":
+        parts.insert(draw(st.integers(0, len(parts))), draw(_JUNK))
+    elif defect == "drop":
+        del parts[draw(st.integers(0, len(parts) - 1))]
+    return "".join(draw(_WS) + part for part in parts) + draw(_WS)
+
+
+class TestFactLineFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_arbitrary_text_parses_as_the_general_parser(self, text):
+        for source in (text, text + "\nfacts(*, *, *) |> count"):
+            assert _outcome(source) == _general_outcome(source)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_fact_shaped_lines(), min_size=1, max_size=3))
+    def test_fact_shaped_lines_parse_as_the_general_parser(self, lines):
+        body = "\n".join(lines)
+        for source in (body, body + "\nfacts(*, *, *) |> count"):
+            assert _outcome(source) == _general_outcome(source)
+
+    def test_fact_lines_skip_the_tokenizer(self, monkeypatch):
+        real_tokenize = dsl._tokenize
+
+        def tokenize_other_lines(line, line_no):
+            assert not re.match(r"\s*fact\s*\(", line), f"line {line_no} went through the tokenizer"
+            return real_tokenize(line, line_no)
+
+        monkeypatch.setattr(dsl, "_tokenize", tokenize_other_lines)
+        source = _structuring_program(random_graph(9, n_facts=999))
+        assert len(source.splitlines()) == 1000
+        assert len(parse(source).fact_decls) == 999
+        for line in _FAST_PATH_SAMPLES:
+            assert len(parse(line + "\nfacts(*, *, *) |> count").fact_decls) == 1
+
+    def test_declaration_is_a_graph_fact(self):
+        program = parse(_FAST_PATH_SAMPLES[1] + "\nfact(E1, R1, E3, \u0661, \u0662)\nfacts(*, *, *) |> count")
+        assert program.fact_decls == (Fact("E1", "R1", "E2", -5, 7), Fact("E1", "R1", "E3", 1, 2))
+        assert all(type(decl) is Fact for decl in program.fact_decls)
+        assert parse(pretty_print(program)) == program
+
+    def test_execute_builds_the_graph_from_the_declared_facts(self):
+        program = parse(_structuring_program(random_graph(4, n_facts=50)))
+        graph = execute(program).graph
+        assert all(kept is declared for kept, declared in zip(graph.facts, program.fact_decls, strict=True))
 
 
 class TestExecute:

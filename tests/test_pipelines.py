@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -15,7 +16,7 @@ from tkgqa.errors import (
     UnknownFunctionError,
 )
 from tkgqa.generator import GraphParams, generate_graph, generate_instances
-from tkgqa.graph import TKG
+from tkgqa.graph import TKG, Fact, render_text
 from tkgqa.pipelines import (
     LiveChatClient,
     OracleMockClient,
@@ -224,6 +225,34 @@ class TestTot:
         result = run(inst, "tot", client)
         assert result.llm_calls == 14
         assert result.answer == inst.gold
+
+
+class TestExcerpt:
+    def test_equals_the_splitlines_form(self, instances):
+        # ids holding every line break str.splitlines knows besides "\n"
+        breaks = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        facts = [Fact(f"E{i}{brk}x", f"R{brk}", "E0", 2000 + i, 2001 + i) for i, brk in enumerate(breaks)]
+        text = render_text(TKG(facts), seed=1)
+        excerpt = "\n".join(text.splitlines()[: pipelines.EXCERPT_FACTS])
+        assert excerpt != "\n".join(text.split("\n")[: pipelines.EXCERPT_FACTS])
+        inst = dataclasses.replace(instances[0], tkg_text=text)
+        # the excerpt statement is the full-text statement of an instance whose text is the excerpt
+        expected = pipelines._statement(dataclasses.replace(inst, tkg_text=excerpt), True, None)
+        assert pipelines._statement(inst, False, None) == expected
+
+    def test_derived_once_per_text(self, instances):
+        splits = []
+
+        class Text(str):
+            def splitlines(self, *args):
+                splits.append(self)
+                return super().splitlines(*args)
+
+        pipelines._excerpt.cache_clear()
+        text = Text("\n".join(f"fact line {i}" for i in range(20)))
+        inst = dataclasses.replace(instances[0], tkg_text=text)
+        statements = {pipelines._statement(inst, False, None) for _ in range(6)}
+        assert len(statements) == 1 and len(splits) == 1
 
 
 class TestCote:
