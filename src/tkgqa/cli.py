@@ -213,7 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for inst, result, ok in mapper(run_one, jobs):
             rows.append(make_row(inst, result, ok))
             if transcripts is not None:
-                transcripts.write(json.dumps(result.transcript_record(), sort_keys=True) + "\n")
+                transcripts.write(json.dumps(result.transcript_record(inst.tkg_text), sort_keys=True) + "\n")
     if args.rows:
         save_rows(rows, args.rows)
     report = aggregate(rows, bin_width=_setting(args.bin_width, config, "bin_width"))

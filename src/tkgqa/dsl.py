@@ -230,6 +230,13 @@ class _LineParser:
             self.fail(f"expected {want!r}, found {tok.text or 'end of line'!r}")
         return self.next()
 
+    def integer(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            self.fail(f"integer literal of {len(tok.text)} characters is too long", tok)
+
     # -- statements --------------------------------------------------------
 
     def statement(self):
@@ -249,9 +256,9 @@ class _LineParser:
         self.expect("punct", ",")
         o = self.expect("ident").text
         self.expect("punct", ",")
-        t0 = int(self.expect("int").text)
+        t0 = self.integer()
         self.expect("punct", ",")
-        t1 = int(self.expect("int").text)
+        t1 = self.integer()
         self.expect("punct", ")")
         self.expect("eol")
         return Fact(s, r, o, t0, t1)
@@ -335,7 +342,7 @@ class _LineParser:
     def stage_arg(self):
         tok = self.peek()
         if tok.kind == "int":
-            return IntLit(int(self.next().text))
+            return IntLit(self.integer())
         if tok.kind == "ident":
             return Token(self.next().text)
         if tok.kind == "cmp":
@@ -362,7 +369,7 @@ class _LineParser:
             self.fail(f"values nest deeper than {MAX_VALUE_DEPTH} levels")
         tok = self.peek()
         if tok.kind == "int":
-            return IntLit(int(self.next().text))
+            return IntLit(self.integer())
         if tok.kind == "ident":
             return Token(self.next().text)
         if tok.kind == "cmp":
@@ -391,6 +398,16 @@ class _LineParser:
         self.fail(f"bad value {tok.text or 'end of line'!r}")
 
 
+def _fast_fact(m: re.Match) -> Fact | None:
+    """The declaration of a fast-path match; None for a time too long for int(),
+    which the general parser reports."""
+    s, r, o, t0, t1 = m.groups()
+    try:
+        return Fact(s, r, o, int(t0), int(t1))
+    except ValueError:
+        return None
+
+
 def parse(source: str) -> Program:
     """Parse tqdsl source; raises on the first error with line/column.
 
@@ -404,9 +421,8 @@ def parse(source: str) -> Program:
     match_fact_line = _FACT_LINE_RE.fullmatch
     for line_no, line in enumerate(source.splitlines(), start=1):
         m = match_fact_line(line)
-        if m is not None:
-            s, r, o, t0, t1 = m.groups()
-            statements.append(Fact(s, r, o, int(t0), int(t1)))
+        if m is not None and (fact := _fast_fact(m)) is not None:
+            statements.append(fact)
         elif not line.strip():
             continue
         else:

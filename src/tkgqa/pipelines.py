@@ -58,6 +58,7 @@ __all__ = [
     "LiveChatClient",
     "make_mock_client",
     "run",
+    "expand_transcript",
     "extract_answer",
     "coerce_answer",
     "select_function",
@@ -109,27 +110,32 @@ class PipelineResult:
     answer: Answer | None = None
     raw_answer: object = None
     explanation: str = ""
-    transcript: list = field(default_factory=list)  # ordered {prompt, reply} pairs
+    transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns
     wall_time: float = 0.0
     llm_calls: int = 0
     function_calls: list = field(default_factory=list)  # (FunctionCall, associated)
-    dsl_programs: list = field(default_factory=list)
     reflexions: int = 0
     errors: list = field(default_factory=list)
     parse_error: bool = False
 
-    def transcript_record(self) -> dict:
-        """Deterministic transcript-store row (timings deliberately excluded)."""
+    def transcript_record(self, text: str) -> dict:
+        """Deterministic transcript-store row (timings deliberately excluded).
+
+        The instance's rendered ``text`` is not stored: each prompt is kept as
+        its parts around it, which :func:`expand_transcript` joins back.
+        """
         return {
             "instance_id": self.instance_id,
             "technique": self.technique,
             "llm_calls": self.llm_calls,
-            "transcript": self.transcript,
+            "transcript": [
+                {**turn, "prompt": turn["prompt"].split(text) if text else [turn["prompt"]]}
+                for turn in self.transcript
+            ],
             "answer": self.answer.to_json() if self.answer is not None else None,
             "raw_answer": self.raw_answer if isinstance(self.raw_answer, (str, int, float, bool, list, type(None))) else str(self.raw_answer),
             "explanation": self.explanation,
             "function_calls": [[c.to_json(), assoc] for c, assoc in self.function_calls],
-            "dsl_programs": self.dsl_programs,
             "reflexions": self.reflexions,
             "errors": self.errors,
             "parse_error": self.parse_error,
@@ -446,7 +452,7 @@ def _reply_json(reply: str) -> dict | None:
         for block in _JSON_FENCE_RE.findall(reply):
             try:
                 obj = json.loads(block)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer too long for int()
                 obj = _first_json_object(block)
             if isinstance(obj, dict):
                 return obj
@@ -570,7 +576,7 @@ class _Chain:
         )
         self.messages.append({"role": "assistant", "content": reply})
         self.result.llm_calls += 1
-        self.result.transcript.append({"prompt": prompt, "reply": reply})
+        self.result.transcript.append({"step": step, "prompt": prompt, "reply": reply})
         return reply
 
 
@@ -687,12 +693,11 @@ def _run_tot(instance, chain, statement):
     )
 
 
-def _extract_program(reply: str, result: PipelineResult) -> Program:
-    """Parse the reply's fenced tqdsl block, keeping its source in ``dsl_programs``."""
+def _extract_program(reply: str) -> Program:
+    """Parse the reply's fenced tqdsl block."""
     source = extract_fenced_source(reply)
     if source is None:
         raise TkgqaError("reply contains no fenced tqdsl block")
-    result.dsl_programs.append(source.strip())
     try:
         return parse(source)
     except DslError as exc:
@@ -707,7 +712,7 @@ def _structure_graph(chain: _Chain) -> TKG:
     """
     reply = chain.ask("structure_data")
     try:
-        return execute(_extract_program(reply, chain.result)).graph
+        return execute(_extract_program(reply)).graph
     except TkgqaError as exc:
         chain.result.errors.append(f"structuring failed: {exc}")
         return TKG()
@@ -718,7 +723,7 @@ def _run_cote(instance, chain, statement, structured: bool):
     graph = instance.tkg if structured else _structure_graph(chain)
     solve_reply = chain.ask("exec_solve")
     try:
-        value = execute(_extract_program(solve_reply, chain.result), graph).value
+        value = execute(_extract_program(solve_reply), graph).value
     except TkgqaError as exc:
         return solve_reply, "", str(exc)
     if isinstance(value, ErrorValue):
@@ -784,6 +789,12 @@ def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | No
     finally:
         result.wall_time = time.perf_counter() - started
     return result
+
+
+def expand_transcript(record: dict, instance: TaskInstance) -> list[dict]:
+    """The turns of a transcript record, each prompt joined back around ``instance.tkg_text``."""
+    text = instance.tkg_text
+    return [{**turn, "prompt": text.join(turn["prompt"])} for turn in record["transcript"]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import tkgqa.generator
 import tkgqa.graph
 from tkgqa.cli import build_parser, load_config, main
 from tkgqa.errors import ClientError
+from tkgqa.generator import import_instances
+from tkgqa.pipelines import expand_transcript
 
 
 def run_cli(*argv) -> int:
@@ -181,6 +183,21 @@ class TestEval:
                 "--report", str(workspace / "r.txt"),
             ) == 0
         assert (workspace / "t1.jsonl").read_bytes() == (workspace / "t2.jsonl").read_bytes()
+
+    def test_transcript_lines_hold_no_copy_of_the_text(self, workspace):
+        dataset = gen_dataset(workspace, gen_graph(workspace, facts=10_000), per_type=1)
+        assert run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "direct,tot", "--mock", "oracle",
+            "--transcripts", "t.jsonl", "--report", "r.txt",
+        ) == 0
+        instances = {inst.id: inst for inst in import_instances(dataset)}
+        lines = (workspace / "t.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 * len(instances)
+        for line in lines:
+            record = json.loads(line)
+            inst = instances[record["instance_id"]]
+            assert json.dumps(inst.tkg_text)[1:-1] not in line and len(line) < len(inst.tkg_text)
+            assert all(inst.tkg_text in turn["prompt"] for turn in expand_transcript(record, inst))
 
     @pytest.mark.parametrize("error, code", [(ClientError("request failed"), 1), (RuntimeError("bug"), None)])
     def test_transcripts_of_finished_jobs_survive_a_failing_job(self, workspace, monkeypatch, error, code):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -156,7 +157,8 @@ _GOOD_IDS = st.one_of(
 )
 _GOOD_INTS = st.one_of(st.integers(-(10**6), 10**6).map(str), _DIGITS, _DIGITS.map(lambda d: "-" + d))
 _BAD_IDS = st.sampled_from(["E\u0661", "\u00c91", "1E", "E-1", "*", ""])
-_BAD_INTS = st.sampled_from(["- 5", "+5", "1_0", "\u00b2", "2.5", "--1", "E1", ""])
+_LONG_INT = "1" * 5000  # more digits than int() converts (4,300 by default)
+_BAD_INTS = st.sampled_from(["- 5", "+5", "1_0", "\u00b2", "2.5", "--1", "E1", "", _LONG_INT, "-" + _LONG_INT])
 _JUNK = st.sampled_from(["x", ")", "(", ",", "|> count", "#", "*", "1", "=", "fact", "\u200b"])
 
 
@@ -216,6 +218,37 @@ class TestFactLineFastPath:
         program = parse(_structuring_program(random_graph(4, n_facts=50)))
         graph = execute(program).graph
         assert all(kept is declared for kept, declared in zip(graph.facts, program.fact_decls, strict=True))
+
+    def test_overlong_time_is_the_general_parsers_syntax_error(self):
+        for time in (_LONG_INT, "-" + _LONG_INT):
+            source = f"fact(E1, R1, E2, 2000, {time})\nfacts(*, *, *) |> count"
+            outcome = _outcome(source)
+            assert outcome == _general_outcome(source)
+            assert outcome[:3] == (DslSyntaxError, 1, 24)
+            assert f"integer literal of {len(time)} characters is too long" in outcome[3]
+
+
+class TestLongIntegers:
+    """An integer literal int() will not convert is a syntax error at its position."""
+
+    @pytest.mark.parametrize(
+        "source, col",
+        [
+            ("facts(*, *, *) |> filter_at(" + _LONG_INT + ")", 29),
+            ("fact(E1, R1, E2, " + _LONG_INT + ", 2000)\nfacts(*, *, *) |> count", 18),
+            ("call relation_duration(E1, R1, E2, " + _LONG_INT + ")", 36),
+        ],
+        ids=["stage_argument", "fact_time", "call_value"],
+    )
+    def test_syntax_error_with_position(self, source, col):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(source)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_longest_convertible_literal_parses(self):
+        digits = "9" * sys.get_int_max_str_digits()
+        program = parse(f"facts(*, *, *) |> filter_at({digits})")
+        assert program.statements[0].expr.stages[0].args[0].value == int(digits)
 
 
 class TestExecute:

@@ -7,6 +7,7 @@ import pytest
 
 from tkgqa import pipelines
 from tkgqa.answers import Answer, FunctionCall
+from tkgqa.dsl import extract_fenced_source
 from tkgqa.errors import (
     AnswerParseError,
     ArgumentTypeError,
@@ -25,6 +26,7 @@ from tkgqa.pipelines import (
     ScriptedMockClient,
     TECHNIQUES,
     coerce_answer,
+    expand_transcript,
     extract_answer,
     run,
     select_function,
@@ -65,6 +67,14 @@ class TestExtractAnswer:
     def test_answer_only_object(self):
         explanation, answer = extract_answer(fenced({"answer": "E2"}))
         assert explanation == "" and answer == "E2"
+
+    def test_overlong_integer_is_no_answer(self, instances):
+        reply = '```json\n{"answer": ' + "1" * 5000 + "}\n```"
+        with pytest.raises(AnswerParseError):
+            extract_answer(reply)
+        inst = by_type(instances, "relation_duration")
+        result = run(inst, "direct", ScriptedMockClient([reply]))
+        assert result.parse_error and not score(result, inst.gold, inst.question_type)
 
 
 class TestCoerceAnswer:
@@ -263,8 +273,15 @@ class TestCote:
         script = ["analysis", "```tqdsl\n" + src + "\n```"]
         result = run(inst, "cote", ScriptedMockClient(script))
         assert result.llm_calls == 2
-        assert result.dsl_programs
+        assert extract_fenced_source(result.transcript[1]["reply"]).strip() == src
         assert result.answer == inst.gold
+
+    def test_overlong_integer_recorded(self, instances):
+        inst = by_type(instances, "timeline")
+        script = ["analysis", "```tqdsl\nfacts(*, *, *) |> filter_at(" + "1" * 5000 + ")\n```"]
+        result = run(inst, "cote", ScriptedMockClient(script))
+        assert result.parse_error
+        assert result.errors == ["tqdsl parse error: syntax error at line 1, col 29: integer literal of 5000 characters is too long"]
 
     def test_bad_program_recorded(self, instances):
         inst = by_type(instances, "timeline")
@@ -311,7 +328,8 @@ class TestStructuring:
         structure = "```tqdsl\nfact(E1, R1, E2, 2000, 2010)\nfacts(*, *, *) |> count\n```"
         script = ["analysis", structure, "```tqdsl\nfacts(*, *, *) |> merge_total\n```"]
         result = run(inst, "cote_s", ScriptedMockClient(script))
-        assert result.raw_answer == 10 and result.dsl_programs[1] == "facts(*, *, *) |> merge_total"
+        assert result.raw_answer == 10
+        assert extract_fenced_source(result.transcript[2]["reply"]).strip() == "facts(*, *, *) |> merge_total"
 
 
 class TestDeepNesting:
@@ -402,8 +420,8 @@ class TestDeterminism:
         assert first.transcript == second.transcript
         assert first.answer == second.answer
         assert first.llm_calls == second.llm_calls
-        assert json.dumps(first.transcript_record(), sort_keys=True) == json.dumps(
-            second.transcript_record(), sort_keys=True
+        assert json.dumps(first.transcript_record(inst.tkg_text), sort_keys=True) == json.dumps(
+            second.transcript_record(inst.tkg_text), sort_keys=True
         )
 
     def test_graph_never_mutated(self, instances):
@@ -412,6 +430,63 @@ class TestDeterminism:
         for technique in TECHNIQUES:
             run(inst, technique, OracleMockClient(inst))
         assert inst.tkg.facts is facts_before
+
+
+@pytest.fixture(scope="module")
+def default_instances():
+    """One instance per question type over a graph of the default 270 facts."""
+    return generate_instances(generate_graph(GraphParams(seed=7)), per_type=1, seed=3)
+
+
+@pytest.fixture(scope="module")
+def instances_10k():
+    """The 10,000-fact instances of the acceptance suite's wiring check."""
+    g = generate_graph(GraphParams(seed=7, n_entities=60, n_relations=8, n_facts=10_000))
+    types = ["timeline", "relation_duration", "is_triplet_within_timespan"]
+    return generate_instances(g, per_type=1, types=types, seed=3)
+
+
+class TestTranscriptRecord:
+    """A record keeps each prompt as its parts around the instance's text; expand_transcript joins them."""
+
+    @staticmethod
+    def stored_and_expanded(result, inst):
+        record = json.loads(json.dumps(result.transcript_record(inst.tkg_text)))
+        return record, expand_transcript(record, inst)
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_round_trip(self, default_instances, instances_10k, technique):
+        for inst in default_instances + instances_10k:
+            result = run(inst, technique, OracleMockClient(inst))
+            record, expanded = self.stored_and_expanded(result, inst)
+            assert expanded == result.transcript
+            assert not any(inst.tkg_text in part for turn in record["transcript"] for part in turn["prompt"])
+
+    def test_text_echoed_into_later_prompts(self, default_instances):
+        inst = by_type(default_instances, "timeline")
+        text = inst.tkg_text
+        client = ScriptedMockClient(
+            {
+                'keys "Option1"': fenced({"Option1": text, "Option2": text[:-1], "Option3": text + text}),
+                'field "score"': fenced({"score": 8}),
+                "": fenced({"answer": list(inst.gold.value)}),
+            }
+        )
+        result = run(inst, "tot", client)
+        record, expanded = self.stored_and_expanded(result, inst)
+        assert expanded == result.transcript
+        # at most four copies: the statement's, and three in a depth-2 state "text -> text + text"
+        assert max(len(turn["prompt"]) for turn in record["transcript"]) == 5
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_empty_text(self, default_instances, technique):
+        base = by_type(default_instances, "timeline")
+        inst = dataclasses.replace(base, tkg=TKG(), tkg_text=render_text(TKG(), seed=base.render_seed))
+        assert inst.tkg_text == ""
+        result = run(inst, technique, OracleMockClient(inst))
+        record, expanded = self.stored_and_expanded(result, inst)
+        assert [turn["prompt"] for turn in record["transcript"]] == [[turn["prompt"]] for turn in result.transcript]
+        assert expanded == result.transcript
 
 
 class RecordingClient:
@@ -447,6 +522,7 @@ class TestSteps:
         result = run(inst, technique, client)
         assert client.steps == self.EXPECTED[technique]
         assert result.llm_calls == len(client.steps)
+        assert [turn["step"] for turn in result.transcript] == client.steps
 
     def test_every_step_is_a_template_and_a_route(self):
         steps = {step for chain in self.EXPECTED.values() for step in chain} | {"confidence"}
