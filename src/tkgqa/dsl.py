@@ -297,7 +297,7 @@ class _LineParser:
 
     def source(self) -> Source:
         self.expect("ident", "facts")
-        open_tok = self.expect("punct", "(")
+        self.expect("punct", "(")
         parts = []
         for i in range(3):
             tok = self.peek()
@@ -314,7 +314,6 @@ class _LineParser:
         if not (close.kind == "punct" and close.text == ")"):
             raise ArityError("facts takes exactly 3 arguments", self.line_no, close.col)
         self.next()
-        del open_tok
         return Source(*parts)
 
     def stage(self) -> Stage:
@@ -398,35 +397,34 @@ class _LineParser:
         self.fail(f"bad value {tok.text or 'end of line'!r}")
 
 
-def _fast_fact(m: re.Match) -> Fact | None:
-    """The declaration of a fast-path match; None for a time too long for int(),
-    which the general parser reports."""
-    s, r, o, t0, t1 = m.groups()
-    try:
-        return Fact(s, r, o, int(t0), int(t1))
-    except ValueError:
-        return None
-
-
 def parse(source: str) -> Program:
     """Parse tqdsl source; raises on the first error with line/column.
 
     A ``fact(...)`` line takes a one-regex fast path; it gives the same
     declaration, and any line it does not match the same error, as the
-    general line parser.
+    general line parser.  A matched line whose time is too long for int()
+    also goes to the general parser, which reports it.
     """
     statements = []
+    append = statements.append
     known_vars: set[str] = set()
     last_line = 0
-    match_fact_line = _FACT_LINE_RE.fullmatch
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        m = match_fact_line(line)
-        if m is not None and (fact := _fast_fact(m)) is not None:
-            statements.append(fact)
-        elif not line.strip():
+    lines = source.splitlines()
+    # tuple.__new__ skips Fact's Python-level __new__; the result is the same Fact
+    new_fact = tuple.__new__
+    for line_no, (line, m) in enumerate(zip(lines, map(_FACT_LINE_RE.fullmatch, lines)), start=1):
+        if m is not None:
+            s, r, o, t0, t1 = m.groups()
+            try:
+                append(new_fact(Fact, (s, r, o, int(t0), int(t1))))
+            except ValueError:
+                pass
+            else:
+                last_line = line_no
+                continue
+        if not line.strip():
             continue
-        else:
-            statements.append(_LineParser(_tokenize(line, line_no), line_no, known_vars).statement())
+        append(_LineParser(_tokenize(line, line_no), line_no, known_vars).statement())
         last_line = line_no
     if not statements:
         raise DslSyntaxError("empty program", max(last_line, 1), 1)
@@ -688,10 +686,18 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
     return ExecutionResult(value=result, graph=g, steps=interp.steps)
 
 
-_FENCE_RE = re.compile(r"```tqdsl\s*\n(.*?)```", re.DOTALL)
+_FENCE_OPEN_RE = re.compile(r"```tqdsl\s*\n")
 
 
 def extract_fenced_source(reply: str) -> str | None:
-    """First fenced block tagged ``tqdsl`` in an LLM reply, or None."""
-    m = _FENCE_RE.search(reply)
-    return m.group(1) if m else None
+    """First fenced block tagged ``tqdsl`` in an LLM reply, or None.
+
+    The block runs from the opening line to the next ```; the whitespace
+    after an opening holds no backtick, so when the first opening has no
+    closing fence, no later one has either.
+    """
+    m = _FENCE_OPEN_RE.search(reply)
+    if m is None:
+        return None
+    end = reply.find("```", m.end())
+    return reply[m.end():end] if end >= 0 else None

@@ -4,8 +4,9 @@ A fact is a quintuple (s, r, o, t0, t1): subject entity ``s`` holds relation
 ``r`` towards object entity ``o`` over the closed integer interval
 ``[t0, t1]`` (years by default).  A graph derives its entity and relation
 vocabularies from its facts, keeps facts in insertion order, and serves
-wildcard pattern queries from per-field hash indexes.  Graphs are immutable
-after construction and safe to share across threads.
+wildcard pattern queries from per-field hash indexes, each built by the first
+query that binds its field.  Graphs are immutable after construction and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -88,11 +89,19 @@ def _check_fact(index: int, raw) -> Fact:
     return f
 
 
+_INDEX_SLOTS = ("_by_s", "_by_r", "_by_o")  # TKG's index attribute by field number
+
+
 class TKG:
     """Immutable fact store with entity/relation vocabularies.
 
     Facts are validated (see :func:`_check_fact`) and deduplicated at
-    construction; insertion order is the canonical iteration order.
+    construction; insertion order is the canonical iteration order.  The
+    per-field indexes are built on first use: a graph restated by a model is
+    queried by one short program, which needs only the indexes of the fields
+    it binds.  Two threads that race to build the same index each build an
+    equal one, and the attribute store is atomic, so a graph stays safe to
+    share across threads.
     """
 
     __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o")
@@ -100,30 +109,18 @@ class TKG:
     def __init__(self, facts: Iterable[Fact | tuple] = ()):
         clean: list[Fact] = []
         seen: set[Fact] = set()
-        by_s: dict[str, list[int]] = {}
-        by_r: dict[str, list[int]] = {}
-        by_o: dict[str, list[int]] = {}
-        entities: set[str] = set()
-        relations: set[str] = set()
         for i, raw in enumerate(facts):
             f = _check_fact(i, raw)
             if f in seen:
                 raise DuplicateFactError(index=i, fact=f)
             seen.add(f)
-            idx = len(clean)
             clean.append(f)
-            by_s.setdefault(f.s, []).append(idx)
-            by_r.setdefault(f.r, []).append(idx)
-            by_o.setdefault(f.o, []).append(idx)
-            entities.add(f.s)
-            entities.add(f.o)
-            relations.add(f.r)
         self.facts: tuple[Fact, ...] = tuple(clean)
-        self.entities: frozenset[str] = frozenset(entities)
-        self.relations: frozenset[str] = frozenset(relations)
-        self._by_s = by_s
-        self._by_r = by_r
-        self._by_o = by_o
+        self.entities: frozenset[str] = frozenset({f.s for f in clean} | {f.o for f in clean})
+        self.relations: frozenset[str] = frozenset({f.r for f in clean})
+        self._by_s: dict[str, list[Fact]] | None = None
+        self._by_r: dict[str, list[Fact]] | None = None
+        self._by_o: dict[str, list[Fact]] | None = None
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -142,30 +139,42 @@ class TKG:
     def __repr__(self) -> str:
         return f"TKG({len(self.facts)} facts, {len(self.entities)} entities, {len(self.relations)} relations)"
 
+    def _build_index(self, field: int) -> dict[str, list[Fact]]:
+        """The facts by their value of field 0 (s), 1 (r) or 2 (o), stored for later queries."""
+        index: dict[str, list[Fact]] = {}
+        for f in self.facts:
+            key = f[field]
+            if key in index:
+                index[key].append(f)
+            else:
+                index[key] = [f]
+        setattr(self, _INDEX_SLOTS[field], index)
+        return index
+
     def query(self, s: str | None = None, r: str | None = None, o: str | None = None) -> list[Fact]:
         """Facts matching every bound field, in insertion order.
 
         Unknown ids match nothing; a fully unbound pattern matches all facts.
-        Served from the narrowest hash index, then verified field by field
-        (equivalent to a brute-force scan).
+        Served from the narrowest index of a bound field, then verified field
+        by field (equivalent to a brute-force scan).
         """
-        candidates: list[int] | range | None = None
-        for bound, index in ((s, self._by_s), (r, self._by_r), (o, self._by_o)):
+        candidates: list[Fact] | None = None
+        for field, bound in enumerate((s, r, o)):
             if bound is None:
                 continue
+            index = getattr(self, _INDEX_SLOTS[field])
+            if index is None:
+                index = self._build_index(field)
             rows = index.get(bound)
             if not rows:
                 return []
             if candidates is None or len(rows) < len(candidates):
                 candidates = rows
         if candidates is None:
-            candidates = range(len(self.facts))
-        out = []
-        for idx in candidates:
-            f = self.facts[idx]
-            if (s is None or f.s == s) and (r is None or f.r == r) and (o is None or f.o == o):
-                out.append(f)
-        return out
+            return list(self.facts)
+        return [
+            f for f in candidates if (s is None or f.s == s) and (r is None or f.r == r) and (o is None or f.o == o)
+        ]
 
 
 # ---------------------------------------------------------------------------

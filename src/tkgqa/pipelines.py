@@ -242,6 +242,14 @@ def _structuring_program(g: TKG) -> str:
     return "\n".join(lines)
 
 
+# The instances of a dataset share one graph object, so the oracle's reply to
+# structure_data (one line per fact) is built once per graph.  lru_cache holds
+# its graphs strongly, hence the small size.
+@functools.lru_cache(maxsize=2)
+def _structure_fence(g: TKG) -> str:
+    return _dsl_fence(_structuring_program(g))
+
+
 class OracleMockClient:
     """Per-instance mock that always behaves perfectly.
 
@@ -292,7 +300,7 @@ class OracleMockClient:
         return _json_fence({"score": 7})
 
     def _structure_reply(self, prompt: str) -> str:
-        return _dsl_fence(_structuring_program(self.instance.tkg))
+        return _structure_fence(self.instance.tkg)
 
     def _program_reply(self, prompt: str) -> str:
         return _dsl_fence(call_to_dsl(self.instance.canonical_call))
@@ -322,15 +330,21 @@ class RandomFunctionMockClient(OracleMockClient):
         self._rng = random.Random(subseed(seed, f"mock:{instance.id if instance else ''}"))
 
     def _select_reply(self, prompt: str) -> str:
+        """A random function, with the canonical call's arguments where it shares
+        them and the first fact's fields for the other required ones; on an empty
+        graph those are left out, and the call fails in selection or dispatch."""
         name = self._rng.choice(function_names())
         spec = function_spec(name)
         canonical = self.instance.canonical_call.arguments
-        f = self.instance.tkg.facts[0]
+        facts = self.instance.tkg.facts
         arguments = {}
         for param in spec.use_guide:
             if param.name in canonical:
                 arguments[param.name] = canonical[param.name]
-            elif param.required:
+            elif param.required and param.type == "choice":
+                arguments[param.name] = (param.choices or ("",))[0]
+            elif param.required and facts:
+                f = facts[0]
                 if param.type in ("entity", "relation"):
                     arguments[param.name] = f.s if param.type == "entity" else f.r
                 elif param.type == "integer":
@@ -341,8 +355,6 @@ class RandomFunctionMockClient(OracleMockClient):
                     arguments[param.name] = [f.s, f.r, f.o]
                 elif param.type == "steps":
                     arguments[param.name] = [[f.r, "start"]]
-                elif param.type == "choice":
-                    arguments[param.name] = (param.choices or ("",))[0]
         return _json_fence({"name": name, "arguments": arguments})
 
 

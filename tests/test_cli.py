@@ -236,8 +236,25 @@ class TestEval:
         for name, workers in (("serial", "1"), ("pooled", "4")):
             assert run_cli(*argv, "--parallelism", workers, "--transcripts", f"{name}.jsonl", "--rows", f"{name}-rows.jsonl") == 0
         assert (workspace / "pooled.jsonl").read_text() == (workspace / "serial.jsonl").read_text()
-        rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").open()] for name in ("serial", "pooled")}
+        rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").read_text().splitlines()] for name in ("serial", "pooled")}
         assert rows["pooled"] == rows["serial"]
+
+    def test_random_mock_on_empty_graphs(self, workspace):
+        """With no fact to borrow arguments from, every job ends in a recorded failure."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        lines = [json.loads(line) for line in dataset.read_text().splitlines()]
+        assert len(lines) == 17
+        for line in lines:
+            line["tkg"] = []
+        dataset.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+        assert run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "cotapi,cotapi_s", "--mock", "random",
+            "--seed", "1", "--rows", "rows.jsonl", "--report", "r.txt",
+        ) == 0
+        rows = [json.loads(line) for line in (workspace / "rows.jsonl").read_text().splitlines()]
+        assert sorted((row["instance_id"], row["technique"]) for row in rows) == sorted(
+            (line["id"], technique) for line in lines for technique in ("cotapi", "cotapi_s")
+        )
 
     def test_live_without_api_key_fails_before_requests(self, workspace, capsys, monkeypatch):
         monkeypatch.delenv("TKGQA_API_KEY", raising=False)

@@ -160,6 +160,26 @@ _BAD_IDS = st.sampled_from(["E\u0661", "\u00c91", "1E", "E-1", "*", ""])
 _LONG_INT = "1" * 5000  # more digits than int() converts (4,300 by default)
 _BAD_INTS = st.sampled_from(["- 5", "+5", "1_0", "\u00b2", "2.5", "--1", "E1", "", _LONG_INT, "-" + _LONG_INT])
 _JUNK = st.sampled_from(["x", ")", "(", ",", "|> count", "#", "*", "1", "=", "fact", "\u200b"])
+_OTHER_LINES = st.sampled_from(
+    [
+        "",
+        "  \t",
+        "\u3000",
+        "let xs = facts(E1, *, *)",
+        "let ys = xs |> filter_at(2000)",
+        "xs |> count",
+        "ys |> objects",
+        "facts(*, R1, *) |> sort(start, asc)",
+        "call timeline(E1, R1, *)",
+        "let fact = facts(*, *, *)",
+        "facts(E1, R1) |> count",
+        "zs |> count",
+        "facts(*, *, *) |> bogus",
+        "fact(E1, R1, E2, 2000)",
+        "fact(E1, R1, E2, 2000, 2005) |> count",
+        "$",
+    ]
+)
 
 
 @st.composite
@@ -192,6 +212,15 @@ class TestFactLineFastPath:
     def test_fact_shaped_lines_parse_as_the_general_parser(self, lines):
         body = "\n".join(lines)
         for source in (body, body + "\nfacts(*, *, *) |> count"):
+            assert _outcome(source) == _general_outcome(source)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_fact_shaped_lines(), _OTHER_LINES), min_size=1, max_size=12))
+    def test_programs_mixing_fact_runs_with_other_lines(self, lines):
+        """Runs of fact lines between let, expression, blank and bad lines: the
+        same statements, or the same error at the same line and column."""
+        body = "\n".join(lines)
+        for source in (body, body + "\nfacts(*, *, *) |> count", body.replace("\n", "\r\n")):
             assert _outcome(source) == _general_outcome(source)
 
     def test_fact_lines_skip_the_tokenizer(self, monkeypatch):
@@ -344,6 +373,45 @@ def test_extract_fenced_source():
     reply = "Here is the program:\n```tqdsl\nfacts(E1, R1, *) |> count\n```\nDone."
     assert extract_fenced_source(reply) == "facts(E1, R1, *) |> count\n"
     assert extract_fenced_source("no fence here") is None
+
+
+# The lazy DOTALL search extract_fenced_source replaced; it scanned a whole
+# 300 KB structuring reply for the closing fence.
+_REFERENCE_FENCE_RE = re.compile(r"```tqdsl\s*\n(.*?)```", re.DOTALL)
+
+
+def _reference_fenced_source(reply: str) -> str | None:
+    m = _REFERENCE_FENCE_RE.search(reply)
+    return m.group(1) if m else None
+
+
+_FENCE_PIECES = st.sampled_from(
+    ["```tqdsl", "```", "``", "`", "```json", "\n", "\r\n", "\r", " ", "\t", "\u2003", "\u3000", "\x1c",
+     "\x85", "\u2028", "fact(E1, R1, E2, 2000, 2005)", "facts(*, *, *) |> count", "tqdsl", "x"]
+)
+
+
+class TestExtractFencedSource:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(_FENCE_PIECES, st.text(max_size=4)), max_size=14).map("".join))
+    def test_equals_the_reference_search(self, reply):
+        assert extract_fenced_source(reply) == _reference_fenced_source(reply)
+
+    @pytest.mark.parametrize(
+        "reply, block",
+        [
+            ("```tqdsl\n```", ""),
+            ("```tqdsl \u2003\r\nA\n```", "A\n"),
+            ("```tqdsl\n\n \nA```", "A"),
+            ("```tqdsl\nA\n```\n```tqdsl\nB\n```", "A\n"),
+            ("```tqdsl\nA, never closed", None),
+            ("```tqdsl\nA\n```tqdsl\nB", "A\n"),
+            ("```tqdsl no newline ```tqdsl\nB\n```", "B\n"),
+            ("```tqdsl\u3000\x1c\nA``", None),
+        ],
+    )
+    def test_edge_cases(self, reply, block):
+        assert extract_fenced_source(reply) == block == _reference_fenced_source(reply)
 
 
 def test_sandbox_has_no_io_forms():

@@ -1,8 +1,11 @@
 import io
 import json
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tkgqa.errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 from tkgqa.graph import (
@@ -15,7 +18,7 @@ from tkgqa.graph import (
     save_tkg,
 )
 
-from conftest import F1, F2, F3, FIXTURE_FACTS, random_graph
+from conftest import F1, F2, F3, F5, FIXTURE_FACTS, random_graph
 
 
 class TestBuild:
@@ -62,6 +65,22 @@ class TestBuild:
         g = TKG([("E1", "R1", "E2", 2000, 2005), ("E1", "R1", "E2", 2007, 2009)])
         assert len(g) == 2
 
+    @pytest.mark.parametrize(
+        "facts, error, index",
+        [
+            # the first bad fact in order decides, whether duplicate or invalid
+            ([F1, F2, F1, ("E1", "R1", "E2", 2005, 2000)], DuplicateFactError, 2),
+            ([F1, ("E1", "R1", "E2", 2005, 2000), F1], InvalidIntervalError, 1),
+            ([F1, F2, ("E1", "", "E2", 2000, 2005), F2], InvalidFactError, 2),
+            ([F1, F2, F2, ("E1", "", "E2", 2000, 2005)], DuplicateFactError, 2),
+            ([F1, tuple(F1)], DuplicateFactError, 1),
+        ],
+    )
+    def test_first_bad_fact_decides_the_error(self, facts, error, index):
+        with pytest.raises(error) as err:
+            TKG(facts)
+        assert type(err.value) is error and err.value.index == index
+
 
 class TestQuery:
     def test_bound_subject_relation(self, fixture_a):
@@ -94,6 +113,82 @@ class TestQuery:
                     and (pattern[2] is None or x.o == pattern[2])
                 ]
                 assert g.query(*pattern) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["E1", "E2", "E3", "E4"]),
+                st.sampled_from(["R1", "R2", "R3"]),
+                st.sampled_from(["E1", "E2", "E3", "E4"]),
+                st.integers(0, 3),
+                st.integers(0, 2),
+            ),
+            max_size=40,
+        ),
+        st.lists(
+            st.tuples(*[st.one_of(st.none(), st.sampled_from(ids)) for ids in (["E1", "E4", "E9"], ["R1", "R3", "R9"], ["E2", "E3", "E9"])]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_query_is_a_brute_force_scan(self, rows, patterns):
+        """Equal to a scan of g.facts for every pattern, whichever index the first query builds."""
+        facts = list(dict.fromkeys(Fact(s, r, o, t0, t0 + d) for s, r, o, t0, d in rows))
+        g = TKG(facts)
+        for s, r, o in patterns:
+            expected = [f for f in g.facts if s in (None, f.s) and r in (None, f.r) and o in (None, f.o)]
+            assert g.query(s, r, o) == expected
+
+    def test_index_built_by_the_first_query_that_binds_its_field(self, monkeypatch):
+        built = []
+        real_build = TKG._build_index
+        monkeypatch.setattr(TKG, "_build_index", lambda g, field: built.append(field) or real_build(g, field))
+        g = TKG(FIXTURE_FACTS)
+        assert g.query() == list(FIXTURE_FACTS) and built == []
+        g.query(None, "R2", None)
+        g.query(None, "R1", None)
+        assert built == [1]
+        g.query("E1", "R1", "E2")
+        g.query("E9", None, "E2")
+        g.query("E5", None, None)
+        assert built == [1, 0, 2]
+
+    def test_unbound_query_returns_a_new_list(self, fixture_a):
+        first = fixture_a.query()
+        first.clear()
+        assert fixture_a.query() == list(FIXTURE_FACTS)
+        fixture_a.query("E1", None, None).clear()
+        assert fixture_a.query("E1", None, None) == [F1, F2, F3, F5]
+
+    @pytest.mark.parametrize("field", ["s", "r", "o"])
+    def test_threads_racing_to_build_an_index(self, field):
+        """8 threads query a fresh graph through one index while the interpreter
+        switches threads as often as it can; each gets the single-thread answers."""
+        facts = random_graph(5, n_facts=3000).facts
+        keys = sorted({getattr(f, field) for f in facts}) + ["E_unknown"]
+        expected = [TKG(facts).query(**{field: key}) for key in keys]
+        for _ in range(3):
+            g = TKG(facts)
+            barrier = threading.Barrier(8)
+            answers: dict[int, list] = {}
+
+            def worker(n):
+                barrier.wait(timeout=30)
+                answers[n] = [g.query(**{field: key}) for key in keys]
+
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+            assert answers == {n: expected for n in range(8)}
 
     def test_fully_bound_returns_distinct_facts(self):
         # dedup invariant: a fully bound (s, r, o) query never repeats a quintuple

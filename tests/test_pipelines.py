@@ -1,11 +1,13 @@
+import collections
 import dataclasses
+import gc
 import json
 import logging
 from pathlib import Path
 
 import pytest
 
-from tkgqa import pipelines
+from tkgqa import graph as graph_module, pipelines
 from tkgqa.answers import Answer, FunctionCall
 from tkgqa.dsl import extract_fenced_source
 from tkgqa.errors import (
@@ -409,6 +411,67 @@ class TestCotapi:
         )
         assert oracle_correct == len(instances)
         assert random_correct < oracle_correct
+
+
+class TestStructuringWork:
+    """Counts, not timings, of the work cote_s and cotapi_s do over one graph's instances."""
+
+    # gc collections (all generations) of one pass over both techniques, counted
+    # before the restatement path was trimmed: 74 on CPython 3.11 with the default
+    # thresholds; the count repeats exactly from run to run
+    PRIOR_GC_COLLECTIONS = 74
+
+    @pytest.fixture(scope="class")
+    def instances_2k(self):
+        g = generate_graph(GraphParams(seed=7, n_entities=60, n_relations=8, n_facts=2000))
+        return generate_instances(g, per_type=1, seed=3)
+
+    @staticmethod
+    def run_all(instances):
+        for technique in ("cote_s", "cotapi_s"):
+            for inst in instances:
+                result = run(inst, technique, OracleMockClient(inst))
+                assert score(result, inst.gold, inst.question_type), (technique, inst.id)
+
+    def test_each_piece_of_work_done_once(self, instances_2k, monkeypatch):
+        assert len({id(inst.tkg) for inst in instances_2k}) == 1
+        programs, checks, builds = [], [], []
+        real_program, real_check, real_build = (
+            pipelines._structuring_program, graph_module._check_fact, TKG._build_index
+        )
+        monkeypatch.setattr(pipelines, "_structuring_program", lambda g: programs.append(g) or real_program(g))
+        monkeypatch.setattr(graph_module, "_check_fact", lambda i, raw: checks.append(i) or real_check(i, raw))
+        monkeypatch.setattr(TKG, "_build_index", lambda g, field: builds.append((g, field)) or real_build(g, field))
+        pipelines._structure_fence.cache_clear()
+        try:
+            self.run_all(instances_2k)
+        finally:
+            pipelines._structure_fence.cache_clear()
+        jobs = 2 * len(instances_2k)
+        n_facts = len(instances_2k[0].tkg)
+        assert programs == [instances_2k[0].tkg]
+        assert checks == list(range(n_facts)) * jobs  # one check per declaration, one structuring per job
+        per_graph = collections.Counter((id(g), field) for g, field in builds)
+        assert per_graph and max(per_graph.values()) == 1
+
+    def test_gc_collections_no_more_than_before(self, instances_2k):
+        self.run_all(instances_2k)  # warm every first-use cache
+        gc.collect()
+        before = sum(stat["collections"] for stat in gc.get_stats())
+        self.run_all(instances_2k)
+        collections_run = sum(stat["collections"] for stat in gc.get_stats()) - before
+        assert collections_run <= self.PRIOR_GC_COLLECTIONS
+
+
+class TestRandomMockOnEmptyGraph:
+    def test_failures_are_recorded(self, instances):
+        for inst in instances:
+            empty = dataclasses.replace(inst, tkg=TKG(), tkg_text="")
+            for technique in ("cotapi", "cotapi_s"):
+                result = run(empty, technique, RandomFunctionMockClient(empty, seed=1))
+                assert any(
+                    e.startswith(("function selection failed", "dispatch error")) for e in result.errors
+                ), (inst.id, technique, result.errors)
 
 
 class TestDeterminism:
