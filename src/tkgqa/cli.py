@@ -164,11 +164,7 @@ def _make_live_client(args, config) -> LiveChatClient:
     api_key = os.environ.get(API_KEY_ENV, "")
     if not api_key:
         raise ClientError(f"set {API_KEY_ENV} in the environment for live endpoints")
-    return LiveChatClient(
-        base_url,
-        api_key,
-        max_in_flight=_setting(args.parallelism, config, "parallelism"),
-    )
+    return LiveChatClient(base_url, api_key)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -190,8 +186,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
 
     jobs = [(inst, tech) for tech in techniques for inst in instances]
-    # one shared live client (pacing and in-flight bounds apply across jobs);
-    # mocks are confined to a single run each
+    # one shared live client (its pacing applies across jobs); mocks are
+    # confined to a single run each
     live_client = _make_live_client(args, config) if args.mock is None else None
 
     def run_one(job):
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model name for live endpoints")
     p.add_argument("--temperature", type=float, default=None, help="sampling temperature")
     p.add_argument("--seed", type=int, default=None, help="seed for seeded mocks")
-    p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker bound")
+    p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker pool size")
     p.add_argument("--rows", default=None, help="write scored rows JSONL here")
     p.add_argument("--transcripts", default=None, help="write transcript JSONL here")
     p.add_argument("--report", default=None, help="write the report here instead of stdout")
@@ -318,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-url", default=None, help="chat-completions endpoint base URL")
     p.add_argument("--model", default=None, help="model name for live endpoints")
     p.add_argument("--threshold", type=float, default=None, help="temporal threshold (default 0.8)")
-    p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker bound")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_confidence)

@@ -12,8 +12,12 @@ Sources are ``facts(s|*, r|*, o|*)`` selections; stages are ``sort(start|end,
 asc|desc)``, ``filter_at(t)``, ``filter_overlap(a, b)``, ``filter_within(a,
 b)``, ``filter_dur(op, n)``, ``count``, ``objects``, ``subjects``,
 ``durations`` and ``merge_total``.  ``call name(args)`` invokes a registered
-solver function with positional arguments in schema order ("*" for a
-wildcard, ``[a, b]`` for intervals, ``(s, r, o)`` for triplets).
+solver function with positional arguments in schema order.  A call value
+parses straight to the JSON value of a function call: an integer, an id or
+comparator string, or a list, written ``(...)`` or ``[...]`` alike (``[a, b]``
+for intervals, ``(s, r, o)`` for triplets).  A top-level ``*`` leaves its
+parameter unset; a nested one is the string ``"*"``.  ``dispatch`` is the
+one check of the arguments, the same for a call written here or as JSON.
 
 There are no loops, no recursion, no I/O and no string operations, so every
 accepted program terminates structurally; an execution step budget is
@@ -51,38 +55,12 @@ __all__ = [
     "ExecutionResult",
     "parse",
     "execute",
-    "pretty_print",
     "extract_fenced_source",
 ]
 
 
 # ---------------------------------------------------------------------------
 # AST
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Star:
-    pass
-
-
-@dataclass(frozen=True)
-class TupleLit:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class ListLit:
-    items: tuple
 
 
 @dataclass(frozen=True)
@@ -338,14 +316,12 @@ class _LineParser:
             )
         return Stage(name, tuple(args))
 
-    def stage_arg(self):
+    def stage_arg(self) -> int | str:
         tok = self.peek()
         if tok.kind == "int":
-            return IntLit(self.integer())
-        if tok.kind == "ident":
-            return Token(self.next().text)
-        if tok.kind == "cmp":
-            return Token(self.next().text)
+            return self.integer()
+        if tok.kind in ("ident", "cmp"):
+            return self.next().text
         self.fail(f"bad stage argument {tok.text!r}")
 
     def call(self) -> Call:
@@ -363,19 +339,15 @@ class _LineParser:
         self.expect("punct", ")")
         return Call(name_tok.text, tuple(args))
 
-    def value(self, depth: int = 0):
+    def value(self, depth: int = 0) -> int | str | list:
+        """A call value as the JSON value it stands for; ``*`` is the string "*"."""
         if depth > MAX_VALUE_DEPTH:
             self.fail(f"values nest deeper than {MAX_VALUE_DEPTH} levels")
         tok = self.peek()
         if tok.kind == "int":
-            return IntLit(self.integer())
-        if tok.kind == "ident":
-            return Token(self.next().text)
-        if tok.kind == "cmp":
-            return Token(self.next().text)
-        if tok.kind == "punct" and tok.text == "*":
-            self.next()
-            return Star()
+            return self.integer()
+        if tok.kind in ("ident", "cmp") or (tok.kind == "punct" and tok.text == "*"):
+            return self.next().text
         if tok.kind == "punct" and tok.text == "(":
             self.next()
             items = [self.value(depth + 1)]
@@ -383,7 +355,7 @@ class _LineParser:
                 self.next()
                 items.append(self.value(depth + 1))
             self.expect("punct", ")")
-            return TupleLit(tuple(items))
+            return items
         if tok.kind == "punct" and tok.text == "[":
             self.next()
             items = []
@@ -393,7 +365,7 @@ class _LineParser:
                     self.next()
                     items.append(self.value(depth + 1))
             self.expect("punct", "]")
-            return ListLit(tuple(items))
+            return items
         self.fail(f"bad value {tok.text or 'end of line'!r}")
 
 
@@ -431,53 +403,6 @@ def parse(source: str) -> Program:
     if not isinstance(statements[-1], ExprStmt):
         raise DslSyntaxError("program must end with an expression", last_line, 1)
     return Program(tuple(statements))
-
-
-# ---------------------------------------------------------------------------
-# pretty printer
-
-
-def _print_value(v) -> str:
-    if isinstance(v, IntLit):
-        return str(v.value)
-    if isinstance(v, Token):
-        return v.text
-    if isinstance(v, Star):
-        return "*"
-    if isinstance(v, TupleLit):
-        return "(" + ", ".join(_print_value(x) for x in v.items) + ")"
-    if isinstance(v, ListLit):
-        return "[" + ", ".join(_print_value(x) for x in v.items) + "]"
-    raise TypeError(v)
-
-
-def _print_expr(expr: Pipe) -> str:
-    head = expr.head
-    if isinstance(head, Source):
-        text = f"facts({head.s or '*'}, {head.r or '*'}, {head.o or '*'})"
-    elif isinstance(head, Var):
-        text = head.name
-    else:
-        text = f"call {head.func}(" + ", ".join(_print_value(a) for a in head.args) + ")"
-    for stage in expr.stages:
-        if stage.args:
-            text += f" |> {stage.name}(" + ", ".join(_print_value(a) for a in stage.args) + ")"
-        else:
-            text += f" |> {stage.name}"
-    return text
-
-
-def pretty_print(program: Program) -> str:
-    """Canonical source text; parsing it back yields an equal AST."""
-    lines = []
-    for st in program.statements:
-        if isinstance(st, Fact):
-            lines.append(f"fact({st.s}, {st.r}, {st.o}, {st.t0}, {st.t1})")
-        elif isinstance(st, Let):
-            lines.append(f"let {st.name} = {_print_expr(st.expr)}")
-        else:
-            lines.append(_print_expr(st.expr))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +488,8 @@ class _Interpreter:
             raise RuntimeTypeError(
                 f"{call.func} takes at most {len(params)} arguments, got {len(call.args)}"
             )
-        arguments = {}
-        for param, value in zip(params, call.args):
-            if isinstance(value, Star):
-                continue
-            arguments[param.name] = _value_to_python(value)
+        # a top-level * leaves its parameter unset
+        arguments = {param.name: value for param, value in zip(params, call.args) if value != "*"}
         try:
             return dispatch(self.graph, FunctionCall(call.func, arguments))
         except _SOLVER_DOMAIN_ERRORS as exc:
@@ -576,12 +498,10 @@ class _Interpreter:
     def eval_stage(self, stage: Stage, value):
         self.tick()
         name = stage.name
-        if name in ("sort", "filter_at", "filter_overlap", "filter_within", "filter_dur",
-                    "count", "objects", "subjects", "durations", "merge_total"):
-            if not isinstance(value, _FactList):
-                raise RuntimeTypeError(f"{name} expects a fact list, got {_type_name(value)}")
+        if not isinstance(value, _FactList):
+            raise RuntimeTypeError(f"{name} expects a fact list, got {_type_name(value)}")
         if name == "sort":
-            endpoint, order = (a.text for a in stage.args)
+            endpoint, order = stage.args
             if endpoint not in ("start", "end") or order not in ("asc", "desc"):
                 raise RuntimeTypeError(f"sort arguments must be (start|end, asc|desc)")
             return _FactList(sort_facts(value, endpoint=endpoint, descending=order == "desc"))
@@ -595,11 +515,8 @@ class _Interpreter:
             w = Interval(_int_arg(stage, 0), _int_arg(stage, 1))
             return _FactList(f for f in value if f.interval.within(w))
         if name == "filter_dur":
-            op = stage.args[0].text if isinstance(stage.args[0], Token) else None
-            if op is None:
-                raise RuntimeTypeError("filter_dur expects a comparator and an integer")
             try:
-                pred = DurationPredicate(op, _int_arg(stage, 1))
+                pred = DurationPredicate(stage.args[0], _int_arg(stage, 1))
             except ValueError as exc:
                 raise RuntimeTypeError(str(exc)) from exc
             return _FactList(f for f in value if pred.matches(f.duration))
@@ -633,21 +550,9 @@ def _type_name(value) -> str:
 
 def _int_arg(stage: Stage, index: int) -> int:
     arg = stage.args[index]
-    if not isinstance(arg, IntLit):
+    if not isinstance(arg, int):
         raise RuntimeTypeError(f"{stage.name} argument {index + 1} must be an integer")
-    return arg.value
-
-
-def _value_to_python(value):
-    if isinstance(value, IntLit):
-        return value.value
-    if isinstance(value, Token):
-        return value.text
-    if isinstance(value, Star):
-        return "*"
-    if isinstance(value, (TupleLit, ListLit)):
-        return [_value_to_python(v) for v in value.items]
-    raise TypeError(value)
+    return arg
 
 
 def execute(program: Program, g: TKG | None = None, limits: Limits | None = None) -> ExecutionResult:

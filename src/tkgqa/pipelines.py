@@ -201,7 +201,7 @@ def _dsl_fence(source: str) -> str:
     return "```tqdsl\n" + source + "\n```"
 
 
-def _render_dsl_value(value) -> str:
+def _render_dsl_value(value, brackets: str = "[]") -> str:
     if isinstance(value, bool):
         return "true" if value else "false"  # not in the grammar; only `*`-able params matter
     if isinstance(value, int):
@@ -210,27 +210,28 @@ def _render_dsl_value(value) -> str:
         return value
     if isinstance(value, (list, tuple)):
         inner = ", ".join(_render_dsl_value(v) for v in value)
-        return f"[{inner}]"
+        return f"{brackets[0]}{inner}{brackets[1]}"
     raise ValueError(f"cannot render {value!r} in tqdsl")
 
 
 def call_to_dsl(call: FunctionCall) -> str:
-    """Render a function call as a `call name(...)` program line (schema arg order)."""
-    spec = function_spec(call.name)
-    names = [p.name for p in spec.use_guide]
-    present = [i for i, n in enumerate(names) if n in call.arguments]
+    """Render a function call as a `call name(...)` program line (schema arg order).
+
+    Triplets and steps are written as tuples, other lists in brackets; the
+    parser reads both the same.
+    """
+    params = function_spec(call.name).use_guide
+    present = [i for i, p in enumerate(params) if p.name in call.arguments]
     upto = max(present) + 1 if present else 0
     rendered = []
-    for name in names[:upto]:
-        if name not in call.arguments or call.arguments[name] is None:
+    for param in params[:upto]:
+        value = call.arguments.get(param.name)
+        if value is None:
             rendered.append("*")
-            continue
-        value = call.arguments[name]
-        if name in ("anchor", "first", "second"):
-            rendered.append("(" + ", ".join(str(v) for v in value) + ")")
-        elif name == "steps":
-            inner = ", ".join("(" + ", ".join(str(x) for x in step) + ")" for step in value)
-            rendered.append(f"[{inner}]")
+        elif param.type == "triplet":
+            rendered.append(_render_dsl_value(value, "()"))
+        elif param.type == "steps":
+            rendered.append("[" + ", ".join(_render_dsl_value(step, "()") for step in value) + "]")
         else:
             rendered.append(_render_dsl_value(value))
     return f"call {call.name}({', '.join(rendered)})"
@@ -362,8 +363,8 @@ class LiveChatClient:
     """Minimal chat-completions HTTP client with retries and pacing.
 
     The API key comes from the environment only.  Requests are paced by a
-    minimum-interval token bucket and bounded by an in-flight semaphore so
-    concurrent evaluation stays polite.
+    minimum-interval token bucket; how many run at once is the caller's
+    worker count (``eval --parallelism``).
     """
 
     def __init__(
@@ -374,7 +375,6 @@ class LiveChatClient:
         timeout: float = 120.0,
         max_retries: int = 4,
         requests_per_second: float = 2.0,
-        max_in_flight: int = 4,
     ):
         if not api_key:
             raise ClientError("API key is empty; set it in the environment before running")
@@ -385,7 +385,6 @@ class LiveChatClient:
         self._min_interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
         self._next_allowed = 0.0
         self._pace_lock = threading.Lock()
-        self._in_flight = threading.Semaphore(max_in_flight)
 
     def _pace(self) -> None:
         with self._pace_lock:
@@ -405,29 +404,28 @@ class LiveChatClient:
             "max_tokens": max_tokens,
         }
         last_error: Exception | None = None
-        with self._in_flight:
-            for attempt in range(self.max_retries):
-                if attempt:
-                    time.sleep(min(2 ** (attempt - 1), 8))  # backoff between attempts only
-                self._pace()
-                try:
-                    resp = requests.post(
-                        f"{self.base_url}/chat/completions",
-                        json=payload,
-                        headers={"Authorization": f"Bearer {self.api_key}"},
-                        timeout=self.timeout,
-                    )
-                except requests.RequestException as exc:
-                    last_error = exc
-                else:
-                    if resp.status_code == 200:
-                        try:
-                            return resp.json()["choices"][0]["message"]["content"]
-                        except (KeyError, IndexError, ValueError) as exc:
-                            raise ClientError(f"malformed completion response: {exc}") from exc
-                    if resp.status_code not in (429, 500, 502, 503, 504):
-                        raise ClientError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-                    last_error = ClientError(f"HTTP {resp.status_code}")
+        for attempt in range(self.max_retries):
+            if attempt:
+                time.sleep(min(2 ** (attempt - 1), 8))  # backoff between attempts only
+            self._pace()
+            try:
+                resp = requests.post(
+                    f"{self.base_url}/chat/completions",
+                    json=payload,
+                    headers={"Authorization": f"Bearer {self.api_key}"},
+                    timeout=self.timeout,
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+            else:
+                if resp.status_code == 200:
+                    try:
+                        return resp.json()["choices"][0]["message"]["content"]
+                    except (KeyError, IndexError, ValueError) as exc:
+                        raise ClientError(f"malformed completion response: {exc}") from exc
+                if resp.status_code not in (429, 500, 502, 503, 504):
+                    raise ClientError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+                last_error = ClientError(f"HTTP {resp.status_code}")
         raise ClientError(f"request failed after {self.max_retries} attempts: {last_error}")
 
 

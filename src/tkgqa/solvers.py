@@ -6,6 +6,12 @@ use guide); the executable logic never ships in the schema.  ``dispatch``
 validates a :class:`~tkgqa.answers.FunctionCall` against the schema and runs
 the named function, returning a tagged :class:`~tkgqa.answers.Answer`.
 
+``dispatch`` is the only check of a call's arguments, whether the call came
+as JSON or as a tqdsl ``call``: it enforces types, required parameters,
+choices, intervals, triplets and steps.  The solver functions take arguments
+it has already normalised and do not check them again; the one rule the
+schema cannot express, a single entity wildcard, is ``_entity_wildcard``'s.
+
 Conventions shared by the whole set:
 
 * Pattern parameters ``s``/``r``/``o`` accept an id or a wildcard
@@ -93,10 +99,6 @@ def _entity_wildcard(s: str | None, r: str | None, o: str | None) -> str:
 def _wildcard_entity(f: Fact, position: str) -> str:
     return f.s if position == "s" else f.o
 
-def _require_triple(s: str | None, r: str | None, o: str | None) -> None:
-    if s is None or r is None or o is None:
-        raise ArgumentTypeError("s, r and o must all be bound for this function")
-
 
 def _unique_episode(episodes: list[Fact], occurrence: int | None, what: str) -> Fact:
     """Pick one episode from a t0-sorted list, honouring an optional 1-based index."""
@@ -143,8 +145,6 @@ def before_after(
     direction: str,
 ) -> str:
     """Entity immediately adjacent (in start-time order) to the pivot entity's episode."""
-    if direction not in ("before", "after"):
-        raise ArgumentTypeError(f"direction must be 'before' or 'after', got {direction!r}")
     position = _entity_wildcard(s, r, o)
     ordered = sort_facts(_query(g, s, r, o))
     pivot_index = next(
@@ -183,9 +183,6 @@ def event_at_what_time(
     occurrence: int | None = None,
 ) -> int | Interval:
     """Start year, end year, or full interval of one (s, r, o) episode."""
-    if endpoint not in ("start", "end", "interval"):
-        raise ArgumentTypeError(f"endpoint must be start/end/interval, got {endpoint!r}")
-    _require_triple(s, r, o)
     episode = _unique_episode(_query(g, s, r, o), occurrence, "event_at_what_time")
     if endpoint == "start":
         return episode.t0
@@ -198,8 +195,6 @@ def first_last(
     g: TKG, s: str | None = None, r: str | None = None, o: str | None = None, *, which: str
 ) -> str:
     """Wildcard entity of the earliest- or latest-starting episode."""
-    if which not in ("first", "last"):
-        raise ArgumentTypeError(f"which must be 'first' or 'last', got {which!r}")
     position = _entity_wildcard(s, r, o)
     ordered = sort_facts(_query(g, s, r, o))
     chosen = ordered[0] if which == "first" else ordered[-1]
@@ -216,8 +211,6 @@ def event_at_the_time_of_another_event(
     o: str | None = None,
 ) -> list[str]:
     """Entities matching the query pattern at the start or end of the anchor episode."""
-    if anchor_point not in ("start", "end"):
-        raise ArgumentTypeError(f"anchor_point must be 'start' or 'end', got {anchor_point!r}")
     anchor_fact = _anchor_fact(g, anchor, "event_at_the_time_of_another_event")
     t = anchor_fact.t0 if anchor_point == "start" else anchor_fact.t1
     return event_at_time_t(g, s, r, o, t=t)
@@ -246,7 +239,6 @@ def relation_duration(
     occurrence: int | None = None,
 ) -> int:
     """Duration (t1 - t0) of one (s, r, o) episode."""
-    _require_triple(s, r, o)
     episode = _unique_episode(_query(g, s, r, o), occurrence, "relation_duration")
     return episode.duration
 
@@ -255,8 +247,6 @@ def get_entity_by_duration(
     g: TKG, s: str | None = None, r: str | None = None, o: str | None = None, *, mode: str
 ) -> str:
     """Wildcard entity of the longest or shortest episode; ties go to the earliest."""
-    if mode not in ("longest", "shortest"):
-        raise ArgumentTypeError(f"mode must be 'longest' or 'shortest', got {mode!r}")
     position = _entity_wildcard(s, r, o)
     ordered = sort_facts(_query(g, s, r, o))
     best = ordered[0]
@@ -344,7 +334,6 @@ def is_triplet_within_timespan(
     window: tuple[int, int],
 ) -> bool:
     """True iff some (s, r, o) episode lies fully inside the window."""
-    _require_triple(s, r, o)
     w = Interval(*window)
     matches = _query(g, s, r, o)
     return any(f.interval.within(w) for f in matches)
@@ -386,8 +375,6 @@ def compare_triplet_durations(
     op: str,
 ) -> bool:
     """Strict comparison of the total merged durations of two triplets; ties are False."""
-    if op not in ("longer", "shorter"):
-        raise ArgumentTypeError(f"op must be 'longer' or 'shorter', got {op!r}")
     totals = []
     for triple in (first, second):
         matches = _query(g, *triple)
@@ -410,10 +397,6 @@ def sequence_of_relations_in_interval(
     iff one candidate per step can be picked in non-decreasing time order,
     all within the window.  An empty step list is vacuously true.
     """
-    steps = list(steps)
-    for step in steps:
-        if len(step) != 2 or step[1] not in ("start", "end"):
-            raise ArgumentTypeError(f"each step must be (relation, start|end), got {step!r}")
     if not steps:
         return True
     a, b = Interval(*window)

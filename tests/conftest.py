@@ -58,7 +58,7 @@ def golden_dsl_source(call: FunctionCall) -> str:
     """Hand-written program shape per question type, filled from a call.
 
     Four types use the pipeline primitives directly; the rest go through the
-    `call` form.  Used by the DSL round-trip corpus and the golden-program
+    `call` form.  Used by the DSL parse corpus and the golden-program
     equivalence runs.
     """
     args = call.arguments

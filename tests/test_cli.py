@@ -401,7 +401,7 @@ class TestHelpDocSync:
         "gen-dataset": ["--graph", "--per-type", "--types", "--seed", "--out"],
         "verify": ["--dataset"],
         "eval": ["--dataset", "--technique", "--mock", "--base-url", "--model", "--temperature", "--seed", "--parallelism", "--rows", "--transcripts", "--report", "--format", "--bin-width", "--config"],
-        "confidence": ["--input", "--mock", "--base-url", "--model", "--threshold", "--parallelism", "--format", "--config"],
+        "confidence": ["--input", "--mock", "--base-url", "--model", "--threshold", "--format", "--config"],
         "report": ["--rows", "--format", "--bin-width"],
     }
 
@@ -420,6 +420,13 @@ class TestHelpDocSync:
         text = capsys.readouterr().out
         for command in self.EXPECTED:
             assert command in text
+
+    def test_confidence_has_no_parallelism(self, capsys):
+        # confidence runs its tasks one at a time; eval's pool is the one concurrency bound
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["confidence", "--input", "t.jsonl", "--parallelism", "2"])
+        assert err.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
 
 
 class TestConfig:

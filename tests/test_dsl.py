@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tkgqa import dsl
-from tkgqa.answers import Answer
+from tkgqa.answers import Answer, FunctionCall
 from tkgqa.dsl import (
     MAX_VALUE_DEPTH,
     ErrorValue,
@@ -15,9 +16,9 @@ from tkgqa.dsl import (
     execute,
     extract_fenced_source,
     parse,
-    pretty_print,
 )
 from tkgqa.errors import (
+    ArgumentTypeError,
     ArityError,
     DslSyntaxError,
     FactLimitExceededError,
@@ -26,7 +27,9 @@ from tkgqa.errors import (
     UnknownIdentifierError,
 )
 from tkgqa.graph import Fact
-from tkgqa.pipelines import _structuring_program
+from tkgqa.generator import QUESTION_TYPES, sample_call
+from tkgqa.pipelines import _structuring_program, call_to_dsl
+from tkgqa.solvers import dispatch, function_specs
 from conftest import random_graph
 
 GOLDEN_PROGRAMS = [
@@ -98,7 +101,6 @@ class TestParse:
 
     def _corpus(self):
         # static programs plus one golden program per type over two graphs
-        from tkgqa.generator import QUESTION_TYPES, sample_call
         from conftest import golden_dsl_source
 
         sources = list(GOLDEN_PROGRAMS)
@@ -112,19 +114,19 @@ class TestParse:
         assert len(sources) >= 50
         return sources
 
-    def test_round_trip_corpus(self):
+    def test_corpus_parses(self):
+        # every call value is a plain JSON value, the form dispatch takes
         for source in self._corpus():
-            program = parse(source)
-            assert parse(pretty_print(program)) == program
+            for st in parse(source).statements:
+                head = getattr(getattr(st, "expr", None), "head", None)
+                if isinstance(head, dsl.Call):
+                    assert json.loads(json.dumps(list(head.args))) == list(head.args)
 
-    def test_pretty_print_stable(self):
-        for source in GOLDEN_PROGRAMS:
-            program = parse(source)
-            assert pretty_print(program) == pretty_print(parse(pretty_print(program)))
-
-    def test_no_comments_in_pretty_print(self):
-        for source in GOLDEN_PROGRAMS:
-            assert "#" not in pretty_print(parse(source))
+    def test_call_values_are_json_values(self):
+        program = parse("call sequence_of_relations_in_interval(*, [(R2, start), [R1, *]], (2004, 2006))")
+        assert program.statements[0].expr.head.args == ("*", [["R2", "start"], ["R1", "*"]], [2004, 2006])
+        stage = parse("facts(*, *, *) |> filter_dur(>=, -5)").statements[0].expr.stages[0]
+        assert stage.args == (">=", -5)
 
 
 def _outcome(source: str):
@@ -241,7 +243,6 @@ class TestFactLineFastPath:
         program = parse(_FAST_PATH_SAMPLES[1] + "\nfact(E1, R1, E3, \u0661, \u0662)\nfacts(*, *, *) |> count")
         assert program.fact_decls == (Fact("E1", "R1", "E2", -5, 7), Fact("E1", "R1", "E3", 1, 2))
         assert all(type(decl) is Fact for decl in program.fact_decls)
-        assert parse(pretty_print(program)) == program
 
     def test_execute_builds_the_graph_from_the_declared_facts(self):
         program = parse(_structuring_program(random_graph(4, n_facts=50)))
@@ -277,7 +278,7 @@ class TestLongIntegers:
     def test_longest_convertible_literal_parses(self):
         digits = "9" * sys.get_int_max_str_digits()
         program = parse(f"facts(*, *, *) |> filter_at({digits})")
-        assert program.statements[0].expr.stages[0].args[0].value == int(digits)
+        assert program.statements[0].expr.stages[0].args[0] == int(digits)
 
 
 class TestExecute:
@@ -341,6 +342,16 @@ class TestExecute:
             execute(parse("facts(E1, R1, *) |> count |> objects"), fixture_a)
         with pytest.raises(RuntimeTypeError):
             execute(parse("facts(E1, R1, *) |> objects |> sort(start, asc)"), fixture_a)
+
+    @pytest.mark.parametrize(
+        "stage",
+        ["sort(1, 2)", "sort(start, 2)", "sort(>=, asc)", "sort(up, asc)",
+         "filter_dur(5, 5)", "filter_dur(longer, 5)", "filter_dur(>=, x)", "filter_at(start)",
+         "filter_overlap(2000, <)"],
+    )
+    def test_bad_stage_arguments_are_type_errors(self, fixture_a, stage):
+        with pytest.raises(RuntimeTypeError):
+            execute(parse(f"facts(*, *, *) |> {stage}"), fixture_a)
 
     def test_solver_errors_become_values(self, fixture_a):
         result = execute(parse("call timeline(E99, R1, *)"), fixture_a)
@@ -424,18 +435,66 @@ def test_sandbox_has_no_io_forms():
 
 
 class TestGoldenEquivalence:
-    # spot check; the 17-type x 100-graph run lives in the acceptance suite
+    # every question type; the 17-type x 100-graph run lives in the acceptance suite
     def test_call_forms_match_dispatch(self):
-        from tkgqa.generator import sample_call
-        from tkgqa.solvers import dispatch
-        from tkgqa.pipelines import call_to_dsl
-
+        covered = set()
         for seed in range(20):
             g = random_graph(seed)
             rng = random.Random(seed)
-            for qtype in ("timeline", "relation_duration", "compare_triplet_durations"):
+            for qtype in QUESTION_TYPES:
                 fn_call = sample_call(rng, g, qtype)
                 if fn_call is None:
                     continue
                 program = parse(call_to_dsl(fn_call))
-                assert execute(program, g).value == dispatch(g, fn_call)
+                assert execute(program, g).value == _dispatched(g, fn_call), call_to_dsl(fn_call)
+                covered.add(qtype)
+        assert covered == set(QUESTION_TYPES)
+
+
+def _dispatched(g, fn_call):
+    """dispatch's answer, or its solver domain error as the value a program gives."""
+    try:
+        return dispatch(g, fn_call)
+    except dsl._SOLVER_DOMAIN_ERRORS as exc:
+        return ErrorValue(type(exc).__name__, str(exc))
+
+
+def _base_call(spec):
+    """A small random graph and a well-formed call of ``spec``'s function over it."""
+    for seed in range(50):
+        g = random_graph(seed)
+        fn_call = sample_call(random.Random(seed), g, spec.name)
+        if fn_call is not None:
+            return g, fn_call
+    raise AssertionError(f"no graph supports {spec.name}")
+
+
+def _bad_arguments():
+    """(function, parameter, bad value) for each check that dispatch alone makes."""
+    bad_steps = ([["R1", "middle"]], [["R1"]], [["R1", "start", "end"]], ["R1"])
+    cases = []
+    for spec in function_specs():
+        for param in spec.use_guide:
+            if param.type == "choice":
+                cases += [(spec, param.name, "sideways"), (spec, param.name, 1)]
+            if param.type == "steps":
+                cases += [(spec, param.name, bad) for bad in bad_steps]
+        if spec.name in ("event_at_what_time", "relation_duration", "is_triplet_within_timespan"):
+            cases += [(spec, name, "*") for name in ("s", "r", "o")]
+    return cases
+
+
+class TestSchemaIsTheOneCheck:
+    """A call's arguments are checked by dispatch's schema only, for JSON and tqdsl calls alike."""
+
+    @pytest.mark.parametrize(
+        "spec, name, bad", _bad_arguments(), ids=lambda x: getattr(x, "name", repr(x))
+    )
+    def test_rejected_by_dispatch_and_in_tqdsl(self, spec, name, bad):
+        g, base = _base_call(spec)
+        fn_call = FunctionCall(spec.name, {**base.arguments, name: bad})
+        with pytest.raises(ArgumentTypeError, match=repr(name)):
+            dispatch(g, fn_call)
+        value = execute(parse(call_to_dsl(fn_call)), g).value
+        assert isinstance(value, ErrorValue) and value.error == "ArgumentTypeError", value
+        assert repr(name) in value.message

@@ -285,6 +285,13 @@ class TestCote:
         assert result.parse_error
         assert result.errors == ["tqdsl parse error: syntax error at line 1, col 29: integer literal of 5000 characters is too long"]
 
+    def test_bad_stage_arguments_recorded(self, instances):
+        inst = by_type(instances, "timeline")
+        script = ["analysis", "```tqdsl\nfacts(*, *, *) |> sort(1, 2)\n```"]
+        result = run(inst, "cote", ScriptedMockClient(script))
+        assert result.errors == ["sort arguments must be (start|end, asc|desc)"]
+        assert not score(result, inst.gold, inst.question_type)
+
     def test_bad_program_recorded(self, instances):
         inst = by_type(instances, "timeline")
         script = ["analysis", "```tqdsl\nfacts(E1 R1\n```"]
@@ -332,6 +339,14 @@ class TestStructuring:
         result = run(inst, "cote_s", ScriptedMockClient(script))
         assert result.raw_answer == 10
         assert extract_fenced_source(result.transcript[2]["reply"]).strip() == "facts(*, *, *) |> merge_total"
+
+    def test_bad_stage_arguments_recorded(self, instances):
+        inst = by_type(instances, "calculate_total_relation_time")
+        structure = "```tqdsl\nfact(E1, R1, E2, 2000, 2010)\nfacts(*, *, *) |> sort(1, 2)\n```"
+        script = ["analysis", structure, "```tqdsl\nfacts(*, *, *) |> count\n```"]
+        result = run(inst, "cote_s", ScriptedMockClient(script))
+        assert result.errors[0] == "structuring failed: sort arguments must be (start|end, asc|desc)"
+        assert result.raw_answer == 0  # the solve program ran on the empty graph
 
 
 class TestDeepNesting:
