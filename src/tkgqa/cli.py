@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -173,6 +174,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: provide exactly one of --mock or a live endpoint (--base-url/--model)", file=sys.stderr)
         return 2
     instances = import_instances(args.dataset)
+    # the loaded graphs, instances and texts live for the whole run; keep the
+    # cyclic collector from re-walking them while jobs allocate
+    gc.freeze()
     techniques = args.technique.split(",")
     unknown = set(techniques) - set(pipelines.TECHNIQUES)
     if unknown:

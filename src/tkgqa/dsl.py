@@ -13,11 +13,12 @@ asc|desc)``, ``filter_at(t)``, ``filter_overlap(a, b)``, ``filter_within(a,
 b)``, ``filter_dur(op, n)``, ``count``, ``objects``, ``subjects``,
 ``durations`` and ``merge_total``.  ``call name(args)`` invokes a registered
 solver function with positional arguments in schema order.  A call value
-parses straight to the JSON value of a function call: an integer, an id or
-comparator string, or a list, written ``(...)`` or ``[...]`` alike (``[a, b]``
-for intervals, ``(s, r, o)`` for triplets).  A top-level ``*`` leaves its
-parameter unset; a nested one is the string ``"*"``.  ``dispatch`` is the
-one check of the arguments, the same for a call written here or as JSON.
+parses straight to the JSON value of a function call: an integer, ``true``
+or ``false``, an id or comparator string, or a list, written ``(...)`` or
+``[...]`` alike (``[a, b]`` for intervals, ``(s, r, o)`` for triplets).  A
+top-level ``*`` leaves its parameter unset; a nested one is the string
+``"*"``.  ``dispatch`` is the one check of the arguments, the same for a call
+written here or as JSON.
 
 There are no loops, no recursion, no I/O and no string operations, so every
 accepted program terminates structurally; an execution step budget is
@@ -117,6 +118,8 @@ class Program:
 # tokenizer
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# the two call values that are not ids
+_BOOLEANS = {"true": True, "false": False}
 _INT = r"-?\d+"
 
 _TOKEN_RE = re.compile(
@@ -339,13 +342,15 @@ class _LineParser:
         self.expect("punct", ")")
         return Call(name_tok.text, tuple(args))
 
-    def value(self, depth: int = 0) -> int | str | list:
+    def value(self, depth: int = 0) -> bool | int | str | list:
         """A call value as the JSON value it stands for; ``*`` is the string "*"."""
         if depth > MAX_VALUE_DEPTH:
             self.fail(f"values nest deeper than {MAX_VALUE_DEPTH} levels")
         tok = self.peek()
         if tok.kind == "int":
             return self.integer()
+        if tok.kind == "ident" and tok.text in _BOOLEANS:
+            return _BOOLEANS[self.next().text]
         if tok.kind in ("ident", "cmp") or (tok.kind == "punct" and tok.text == "*"):
             return self.next().text
         if tok.kind == "punct" and tok.text == "(":

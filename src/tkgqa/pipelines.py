@@ -129,7 +129,7 @@ class PipelineResult:
             "technique": self.technique,
             "llm_calls": self.llm_calls,
             "transcript": [
-                {**turn, "prompt": turn["prompt"].split(text) if text else [turn["prompt"]]}
+                {**turn, "prompt": _split_around(turn["prompt"], text) if text else [turn["prompt"]]}
                 for turn in self.transcript
             ],
             "answer": self.answer.to_json() if self.answer is not None else None,
@@ -140,6 +140,33 @@ class PipelineResult:
             "errors": self.errors,
             "parse_error": self.parse_error,
         }
+
+
+_ANCHOR_CHARS = 64  # the prefix of the text that _split_around searches for
+
+
+def _split_around(prompt: str, text: str) -> list[str]:
+    """``prompt.split(text)`` for a non-empty ``text``, without searching for all of it.
+
+    ``str.split`` preprocesses its whole needle on every call, which for a text
+    of hundreds of KB costs more than the rest of a turn. A short prefix is
+    searched for only where a whole copy still fits, and each hit confirmed in
+    place, so the cost follows how much longer the prompt is than the text.
+    """
+    if len(prompt) < len(text):
+        return [prompt]
+    anchor = text[:_ANCHOR_CHARS]
+    stop = len(prompt) - len(text) + len(anchor)
+    parts = []
+    start = i = 0
+    while (i := prompt.find(anchor, i, stop)) >= 0:
+        if prompt.startswith(text, i):
+            parts.append(prompt[start:i])
+            start = i = i + len(text)
+        else:
+            i += 1
+    parts.append(prompt[start:])
+    return parts
 
 
 class ChatClient(Protocol):
@@ -203,7 +230,7 @@ def _dsl_fence(source: str) -> str:
 
 def _render_dsl_value(value, brackets: str = "[]") -> str:
     if isinstance(value, bool):
-        return "true" if value else "false"  # not in the grammar; only `*`-able params matter
+        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -444,9 +471,15 @@ def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int 
 _JSON_FENCE_RE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
 
 
+# A ``{`` that can open a JSON object: the decoder rejects at once any other
+# ``{``, so trying only these finds the same object, in linear time on a
+# reply of unclosed braces.
+_OBJECT_START_RE = re.compile(r'\{(?=[ \t\n\r]*["}])')
+
+
 def _first_json_object(text: str) -> dict | None:
     decoder = json.JSONDecoder()
-    for m in re.finditer(r"\{", text):
+    for m in _OBJECT_START_RE.finditer(text):
         try:
             obj, _ = decoder.raw_decode(text, m.start())
         except ValueError:

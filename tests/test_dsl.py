@@ -26,7 +26,7 @@ from tkgqa.errors import (
     StepLimitExceededError,
     UnknownIdentifierError,
 )
-from tkgqa.graph import Fact
+from tkgqa.graph import TKG, Fact
 from tkgqa.generator import QUESTION_TYPES, sample_call
 from tkgqa.pipelines import _structuring_program, call_to_dsl
 from tkgqa.solvers import dispatch, function_specs
@@ -449,6 +449,23 @@ class TestGoldenEquivalence:
                 assert execute(program, g).value == _dispatched(g, fn_call), call_to_dsl(fn_call)
                 covered.add(qtype)
         assert covered == set(QUESTION_TYPES)
+
+
+class TestBooleanLiterals:
+    """``true`` and ``false`` are call values, so a JSON call's booleans can be written in tqdsl."""
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_merge_overlaps(self, merge):
+        g = TKG([Fact("E1", "R1", "E2", 2000, 2005), Fact("E1", "R1", "E3", 2003, 2008)])
+        fn_call = FunctionCall("calculate_total_relation_time", {"s": "E1", "r": "R1", "merge_overlaps": merge})
+        assert call_to_dsl(fn_call).endswith(f"(E1, R1, *, {'true' if merge else 'false'})")
+        assert execute(parse(call_to_dsl(fn_call)), g).value == dispatch(g, fn_call) == Answer.duration(8 if merge else 10)
+
+    def test_ids_elsewhere_are_unchanged(self):
+        program = parse("fact(true, R1, false, 2000, 2005)\nfacts(true, R1, *) |> objects")
+        assert program.statements[0] == Fact("true", "R1", "false", 2000, 2005)
+        assert execute(program).value == ["false"]
+        assert parse("call timeline(true, R1, [false, x])").statements[0].expr.head.args == (True, "R1", [False, "x"])
 
 
 def _dispatched(g, fn_call):

@@ -3,9 +3,12 @@ import dataclasses
 import gc
 import json
 import logging
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tkgqa import graph as graph_module, pipelines
 from tkgqa.answers import Answer, FunctionCall
@@ -77,6 +80,38 @@ class TestExtractAnswer:
         inst = by_type(instances, "relation_duration")
         result = run(inst, "direct", ScriptedMockClient([reply]))
         assert result.parse_error and not score(result, inst.gold, inst.question_type)
+
+
+def _reference_first_json_object(text):
+    """The scan that tried ``raw_decode`` at every ``{``, kept as the reference."""
+    decoder = json.JSONDecoder()
+    for m in re.finditer(r"\{", text):
+        try:
+            obj, _ = decoder.raw_decode(text, m.start())
+        except ValueError:
+            continue
+        if isinstance(obj, dict):
+            return obj
+    return None
+
+
+class TestFirstJsonObject:
+    """Only a ``{`` that can open an object is decoded; the object found is the same."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet='{}":,1a \n\t\r', max_size=40))
+    def test_matches_the_scan_at_every_brace(self, text):
+        assert pipelines._first_json_object(text) == _reference_first_json_object(text)
+
+    def test_unclosed_braces_are_never_decoded(self):
+        with mock.patch.object(
+            json.JSONDecoder, "raw_decode", autospec=True, side_effect=json.JSONDecoder.raw_decode
+        ) as raw_decode:
+            with pytest.raises(AnswerParseError):
+                extract_answer("{" * 10_000)
+            assert raw_decode.call_count == 0
+            assert extract_answer('{ {"answer": 1}') == ("", 1)
+            assert raw_decode.call_count == 1
 
 
 class TestCoerceAnswer:
@@ -565,6 +600,61 @@ class TestTranscriptRecord:
         record, expanded = self.stored_and_expanded(result, inst)
         assert [turn["prompt"] for turn in record["transcript"]] == [[turn["prompt"]] for turn in result.transcript]
         assert expanded == result.transcript
+
+
+def _split_cases():
+    """(prompt, text) pairs whose prompts are built from whole, cut and stray pieces of the text."""
+
+    def texts_and_prompts(text):
+        piece = st.one_of(
+            st.just(text),
+            st.integers(0, len(text)).map(lambda k: text[:k]),
+            st.integers(0, len(text)).map(lambda k: text[k:]),
+            st.text(alphabet="ab", max_size=3),
+        )
+        return st.lists(piece, max_size=6).map(lambda pieces: ("".join(pieces), text))
+
+    short = st.text(alphabet="ab", min_size=1, max_size=5)
+    # longer than the anchor and periodic, so the anchor recurs where no whole copy starts
+    long = st.builds(
+        lambda unit, tail: unit * (pipelines._ANCHOR_CHARS // len(unit) + 1) + tail,
+        st.text(alphabet="ab", min_size=1, max_size=3),
+        st.text(alphabet="ab", max_size=3),
+    )
+    return st.one_of(short, long).flatmap(texts_and_prompts)
+
+
+class TestSplitAround:
+    """The stored parts of a prompt are exactly ``prompt.split(text)``."""
+
+    LONG = "q" * pipelines._ANCHOR_CHARS + "rst"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_split_cases())
+    def test_equals_str_split(self, case):
+        prompt, text = case
+        assert pipelines._split_around(prompt, text) == prompt.split(text)
+
+    @pytest.mark.parametrize(
+        "prompt, text",
+        [
+            pytest.param("ab", "abc", id="shorter"),
+            pytest.param(LONG[:-1], LONG, id="shorter-long"),
+            pytest.param("abc", "abc", id="equal"),
+            pytest.param(LONG, LONG, id="equal-long"),
+            pytest.param("xabcabcy", "abc", id="back-to-back"),
+            pytest.param("x" + LONG + LONG + "y", LONG, id="back-to-back-long"),
+            pytest.param("aaab", "aab", id="self-overlapping"),
+            pytest.param("aaaa", "aa", id="overlapping-copies"),
+            pytest.param("aaa", "aa", id="overlapping-copies-odd"),
+            pytest.param(LONG[:-1] + LONG + "z", LONG, id="partial-then-whole"),
+            pytest.param("q" + LONG, LONG, id="anchor-then-whole"),
+            pytest.param("xy" + LONG, LONG, id="copy-at-end-long"),
+            pytest.param("xyab", "ab", id="copy-at-end"),
+        ],
+    )
+    def test_fixed_cases(self, prompt, text):
+        assert pipelines._split_around(prompt, text) == prompt.split(text)
 
 
 class RecordingClient:
