@@ -271,8 +271,9 @@ def _structuring_program(g: TKG) -> str:
 
 
 # The instances of a dataset share one graph object, so the oracle's reply to
-# structure_data (one line per fact) is built once per graph.  lru_cache holds
-# its graphs strongly, hence the small size.
+# structure_data (one line per fact) is built once per graph; as one string
+# object, it also hashes once as _restated's key.  lru_cache holds its graphs
+# strongly, hence the small size.
 @functools.lru_cache(maxsize=2)
 def _structure_fence(g: TKG) -> str:
     return _dsl_fence(_structuring_program(g))
@@ -471,10 +472,12 @@ def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int 
 _JSON_FENCE_RE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
 
 
-# A ``{`` that can open a JSON object: the decoder rejects at once any other
-# ``{``, so trying only these finds the same object, in linear time on a
-# reply of unclosed braces.
-_OBJECT_START_RE = re.compile(r'\{(?=[ \t\n\r]*["}])')
+# A ``{`` that can open a JSON object: ``}`` or a whole quoted key and its
+# ``:`` follow.  The decoder rejects every other ``{`` before going further, so
+# trying only these finds the same object, in linear time on a reply of
+# unclosed braces or of ``{"`` repeated (each failed decode scans back to the
+# start of the reply for its error position).
+_OBJECT_START_RE = re.compile(r'\{(?=[ \t\n\r]*(?:\}|"(?:[^"\\]|\\.)*"[ \t\n\r]*:))')
 
 
 def _first_json_object(text: str) -> dict | None:
@@ -747,18 +750,31 @@ def _extract_program(reply: str) -> Program:
         raise TkgqaError(f"tqdsl parse error: {exc}") from exc
 
 
+# The outcome of a structuring reply, keyed on its exact text: jobs that get
+# the same restatement (every mock run, whose instances share one graph) parse
+# and execute it once and share the graph, which no solve program can change:
+# execute refuses a program that declares facts when it is given a graph.
+@functools.lru_cache(maxsize=2)
+def _restated(reply: str) -> TKG | str:
+    """The graph a structuring reply's program builds, or why it builds none."""
+    try:
+        return execute(_extract_program(reply)).graph
+    except TkgqaError as exc:
+        return f"structuring failed: {exc}"
+
+
 def _structure_graph(chain: _Chain) -> TKG:
     """Have the model restate the data as fact declarations; the graph they build.
 
     The graph is empty when structuring yields nothing usable, so a ``_s``
-    technique never falls back to the gold graph.
+    technique never falls back to the gold graph.  A graph built from a reply
+    is shared with every later job whose reply is the same text.
     """
-    reply = chain.ask("structure_data")
-    try:
-        return execute(_extract_program(reply)).graph
-    except TkgqaError as exc:
-        chain.result.errors.append(f"structuring failed: {exc}")
+    outcome = _restated(chain.ask("structure_data"))
+    if isinstance(outcome, str):
+        chain.result.errors.append(outcome)
         return TKG()
+    return outcome
 
 
 def _run_cote(instance, chain, statement, structured: bool):

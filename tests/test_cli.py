@@ -3,6 +3,7 @@ import logging
 import os
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import tkgqa.cli
 import tkgqa.generator
 import tkgqa.graph
+import tkgqa.pipelines
 from tkgqa.cli import build_parser, load_config, main
 from tkgqa.errors import ClientError
 from tkgqa.generator import import_instances
@@ -238,6 +240,43 @@ class TestEval:
         assert (workspace / "pooled.jsonl").read_text() == (workspace / "serial.jsonl").read_text()
         rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").read_text().splitlines()] for name in ("serial", "pooled")}
         assert rows["pooled"] == rows["serial"]
+
+    def test_pooled_live_eval_over_a_shared_restated_graph(self, workspace, monkeypatch):
+        """Every cote_s/cotapi_s job gets one restatement, so pooled jobs share its
+        graph and race to build its indexes; they write what one worker does."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        g = import_instances(dataset)[0].tkg
+        f = g.facts[0]
+        replies = {  # each solve binds every field of the graph's indexes
+            "structure_data": tkgqa.pipelines._structure_fence(g),
+            "exec_solve": f"```tqdsl\nlet a = facts({f.s}, *, *)\nlet b = facts(*, {f.r}, *)\nfacts(*, *, {f.o}) |> count\n```",
+            "api_select": json.dumps({"name": "timeline", "arguments": {"s": f.s, "r": f.r}}),
+            "api_final": '{"explanation": "e", "answer": "E1"}',
+        }
+
+        class SlowClient:  # replies by step after a random delay, so pooled jobs finish out of order
+            def complete(self, messages, *, model, temperature, max_tokens, step):
+                time.sleep(random.random() / 200)
+                return replies.get(step, "analysis")
+
+        monkeypatch.setattr(tkgqa.cli, "_make_live_client", lambda args, config: SlowClient())
+        argv = ["eval", "--dataset", str(dataset), "--technique", "cote_s,cotapi_s", "--base-url", "http://localhost:9"]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for name, workers in (("serial", "1"), ("pooled", "4")):
+                tkgqa.pipelines._restated.cache_clear()  # each run builds the shared graph afresh
+                assert run_cli(*argv, "--parallelism", workers, "--transcripts", f"{name}.jsonl", "--rows", f"{name}-rows.jsonl") == 0
+        finally:
+            sys.setswitchinterval(switch_interval)
+            tkgqa.pipelines._restated.cache_clear()
+        assert (workspace / "pooled.jsonl").read_text() == (workspace / "serial.jsonl").read_text()
+        rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").read_text().splitlines()] for name in ("serial", "pooled")}
+        assert rows["pooled"] == rows["serial"]
+        records = [json.loads(line) for line in (workspace / "serial.jsonl").read_text().splitlines()]
+        assert len(records) == 2 * 17
+        assert not any(e.startswith("structuring failed") for record in records for e in record["errors"])
+        assert {r["raw_answer"] for r in records if r["technique"] == "cote_s"} == {sum(x.o == f.o for x in g.facts)}
 
     def test_random_mock_on_empty_graphs(self, workspace):
         """With no fact to borrow arguments from, every job ends in a recorded failure."""

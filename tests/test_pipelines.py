@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tkgqa import graph as graph_module, pipelines
 from tkgqa.answers import Answer, FunctionCall
@@ -99,7 +99,8 @@ class TestFirstJsonObject:
     """Only a ``{`` that can open an object is decoded; the object found is the same."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet='{}":,1a \n\t\r', max_size=40))
+    @given(st.text(alphabet='{}":,1a\\ \n\t\r', max_size=40))
+    @example('{"a\\"": 1}')  # a key holding an escaped quote
     def test_matches_the_scan_at_every_brace(self, text):
         assert pipelines._first_json_object(text) == _reference_first_json_object(text)
 
@@ -107,8 +108,9 @@ class TestFirstJsonObject:
         with mock.patch.object(
             json.JSONDecoder, "raw_decode", autospec=True, side_effect=json.JSONDecoder.raw_decode
         ) as raw_decode:
-            with pytest.raises(AnswerParseError):
-                extract_answer("{" * 10_000)
+            for reply in ("{" * 10_000, '{"' * 10_000):
+                with pytest.raises(AnswerParseError):
+                    extract_answer(reply)
             assert raw_decode.call_count == 0
             assert extract_answer('{ {"answer": 1}') == ("", 1)
             assert raw_decode.call_count == 1
@@ -384,6 +386,65 @@ class TestStructuring:
         assert result.raw_answer == 0  # the solve program ran on the empty graph
 
 
+class TestRestatementMemo:
+    """A structuring reply is parsed and executed once per distinct text, and
+    every job given that text gets the same outcome, failures included."""
+
+    SOLVE = "```tqdsl\nfacts(*, *, *) |> count\n```"
+
+    @pytest.fixture
+    def structuring_parses(self, monkeypatch):
+        """The sources of the structuring programs parsed, from an empty memo on."""
+        sources = []
+        real_parse = pipelines.parse
+
+        def counting_parse(source):
+            if source.startswith("fact("):
+                sources.append(source)
+            return real_parse(source)
+
+        monkeypatch.setattr(pipelines, "parse", counting_parse)
+        pipelines._restated.cache_clear()
+        yield sources
+        pipelines._restated.cache_clear()
+
+    def run_jobs(self, instances, structure_replies):
+        inst = by_type(instances, "calculate_total_relation_time")
+        return [run(inst, "cote_s", ScriptedMockClient(["analysis", reply, self.SOLVE])) for reply in structure_replies]
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            ("I would rather not restate the facts.", "reply contains no fenced tqdsl block"),
+            ("```tqdsl\nfact(E1 R1\n```", "tqdsl parse error: syntax error at line 1, col 9: expected ',', found 'R1'"),
+            (
+                "```tqdsl\nfact(E1, R1, E2, 2000, 2010)\nfact(E1, R1, E2, 2000, 2010)\nfacts(*, *, *) |> count\n```",
+                "duplicate fact at index 1: Fact(s='E1', r='R1', o='E2', t0=2000, t1=2010)",
+            ),
+            (
+                "```tqdsl\nfact(E1, R1, E2, 2000, 2010)\nfacts(*, *, *) |> sort(1, 2)\n```",
+                "sort arguments must be (start|end, asc|desc)",
+            ),
+        ],
+        ids=["no-fence", "parse", "duplicate", "execution"],
+    )
+    def test_failure_recorded_in_every_job(self, instances, structuring_parses, reply, error):
+        results = self.run_jobs(instances, [reply] * 3)
+        for result in results:
+            assert result.errors[0] == f"structuring failed: {error}"
+            assert result.raw_answer == 0  # the solve program ran on an empty graph
+        assert len(structuring_parses) == (1 if reply.startswith("```") else 0)
+
+    def test_replies_differing_by_one_fact_build_different_graphs(self, instances, structuring_parses):
+        one = "fact(E1, R1, E2, 2000, 2010)"
+        two = one + "\nfact(E1, R1, E3, 2011, 2015)"
+        replies = [f"```tqdsl\n{facts}\nfacts(*, *, *) |> count\n```" for facts in (one, two, one, two)]
+        results = self.run_jobs(instances, replies)
+        assert [result.raw_answer for result in results] == [1, 2, 1, 2]
+        assert all(not result.errors for result in results)
+        assert len(structuring_parses) == 2
+
+
 class TestDeepNesting:
     """Replies nested thousands deep become recorded failures, not exceptions."""
 
@@ -493,14 +554,15 @@ class TestStructuringWork:
         monkeypatch.setattr(graph_module, "_check_fact", lambda i, raw: checks.append(i) or real_check(i, raw))
         monkeypatch.setattr(TKG, "_build_index", lambda g, field: builds.append((g, field)) or real_build(g, field))
         pipelines._structure_fence.cache_clear()
+        pipelines._restated.cache_clear()
         try:
             self.run_all(instances_2k)
         finally:
             pipelines._structure_fence.cache_clear()
-        jobs = 2 * len(instances_2k)
+            pipelines._restated.cache_clear()
         n_facts = len(instances_2k[0].tkg)
         assert programs == [instances_2k[0].tkg]
-        assert checks == list(range(n_facts)) * jobs  # one check per declaration, one structuring per job
+        assert checks == list(range(n_facts))  # one check per declaration, one structuring for all jobs
         per_graph = collections.Counter((id(g), field) for g, field in builds)
         assert per_graph and max(per_graph.values()) == 1
 
