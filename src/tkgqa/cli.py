@@ -204,16 +204,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     workers = _setting(args.parallelism, config, "parallelism")
     rows = []
+    stored = {}  # sha256 of each reply the transcripts hold in full -> its (line, turn)
     # each transcript is written in job order as its job finishes; only rows are kept
     with contextlib.ExitStack() as stack:
         transcripts = stack.enter_context(open(args.transcripts, "w", encoding="utf-8")) if args.transcripts else None
         mapper = map
         if live_client is not None and workers > 1:
             mapper = stack.enter_context(concurrent.futures.ThreadPoolExecutor(max_workers=workers)).map
-        for inst, result, ok in mapper(run_one, jobs):
+        for line, (inst, result, ok) in enumerate(mapper(run_one, jobs)):
             rows.append(make_row(inst, result, ok))
             if transcripts is not None:
-                transcripts.write(json.dumps(result.transcript_record(inst.tkg_text), sort_keys=True) + "\n")
+                record = result.transcript_record(inst.tkg_text, stored, line)
+                transcripts.write(json.dumps(record, sort_keys=True) + "\n")
     if args.rows:
         save_rows(rows, args.rows)
     report = aggregate(rows, bin_width=_setting(args.bin_width, config, "bin_width"))

@@ -99,6 +99,7 @@ def generate_graph(params: GraphParams) -> TKG:
     params.validate()
     rng = random.Random(subseed(params.seed, "graph"))
     entities = [f"E{i}" for i in range(1, params.n_entities + 1)]
+    position = {e: i for i, e in enumerate(entities)}
     relations = [f"R{j}" for j in range(1, params.n_relations + 1)]
     chained = set(relations[::2])  # every other relation gets timeline-style chains
     lo, hi = params.time_range
@@ -123,7 +124,8 @@ def generate_graph(params: GraphParams) -> TKG:
         if r in chained:
             anchor = rng.choice(entities)
             anchor_is_object = rng.random() < 0.5
-            others = [e for e in entities if e != anchor]
+            i = position[anchor]
+            others = entities[:i] + entities[i + 1:]  # every entity but the anchor, in order
             members = rng.sample(others, k=min(len(others), rng.randint(2, 4)))
             t = rng.randint(lo, hi - 1)
             for member in members:

@@ -19,7 +19,9 @@ offline, and the oracle and random mocks answer by step, whatever the wording.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import hashlib
 import json
 import logging
 import random
@@ -28,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .answers import Answer, FunctionCall
 from .dsl import ErrorValue, Program, execute, extract_fenced_source, parse
@@ -58,7 +60,7 @@ __all__ = [
     "LiveChatClient",
     "make_mock_client",
     "run",
-    "expand_transcript",
+    "expand_transcripts",
     "extract_answer",
     "coerce_answer",
     "select_function",
@@ -118,19 +120,27 @@ class PipelineResult:
     errors: list = field(default_factory=list)
     parse_error: bool = False
 
-    def transcript_record(self, text: str) -> dict:
-        """Deterministic transcript-store row (timings deliberately excluded).
+    def transcript_record(self, text: str, stored: dict[bytes, tuple[int, int]], line: int) -> dict:
+        """This result's line of a transcripts file (timings deliberately excluded).
 
-        The instance's rendered ``text`` is not stored: each prompt is kept as
-        its parts around it, which :func:`expand_transcript` joins back.
+        ``line`` is the line's index in the file, and ``stored`` maps the
+        sha256 of each reply the file already holds in full to its
+        ``(line, turn)``; the record adds its own.  The rendered ``text`` and
+        the schema text are left out of each prompt (:func:`_stored_prompt`),
+        and a reply held earlier becomes a reference to it when that is
+        shorter; :func:`expand_transcripts` undoes both.
         """
         return {
             "instance_id": self.instance_id,
             "technique": self.technique,
             "llm_calls": self.llm_calls,
             "transcript": [
-                {**turn, "prompt": _split_around(turn["prompt"], text) if text else [turn["prompt"]]}
-                for turn in self.transcript
+                {
+                    **turn,
+                    "prompt": _stored_prompt(turn["prompt"], text),
+                    "reply": _stored_reply(turn["reply"], stored, (line, index)),
+                }
+                for index, turn in enumerate(self.transcript)
             ],
             "answer": self.answer.to_json() if self.answer is not None else None,
             "raw_answer": self.raw_answer if isinstance(self.raw_answer, (str, int, float, bool, list, type(None))) else str(self.raw_answer),
@@ -140,6 +150,29 @@ class PipelineResult:
             "errors": self.errors,
             "parse_error": self.parse_error,
         }
+
+
+def _stored_prompt(prompt: str, text: str) -> list:
+    """``prompt`` as its parts around the instance's ``text``, each part that
+    holds the schema text as the list of its pieces around that.
+    """
+    schema = _schema_text()
+    return [
+        pieces if len(pieces := _split_around(part, schema)) > 1 else part
+        for part in (_split_around(prompt, text) if text else [prompt])
+    ]
+
+
+def _stored_reply(reply: str, stored: dict[bytes, tuple[int, int]], where: tuple[int, int]) -> str | tuple[int, int]:
+    """``reply``, or the ``(line, turn)`` where the file first held it when that is shorter.
+
+    ``len(reply) + 2`` is the least its JSON encoding can take.
+    """
+    digest = hashlib.sha256(reply.encode("utf-8", "surrogatepass")).digest()
+    earlier = stored.setdefault(digest, where)
+    if earlier != where and len(json.dumps(earlier)) < len(reply) + 2:
+        return earlier
+    return reply
 
 
 _ANCHOR_CHARS = 64  # the prefix of the text that _split_around searches for
@@ -448,9 +481,12 @@ class LiveChatClient:
             else:
                 if resp.status_code == 200:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
-                        raise ClientError(f"malformed completion response: {exc}") from exc
+                        content = resp.json()["choices"][0]["message"]["content"]
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
+                        raise ClientError(f"malformed completion response: {exc!r}") from exc
+                    if not isinstance(content, str):  # null for a refusal or a tool call
+                        raise ClientError(f"completion content is {type(content).__name__}, not text")
+                    return content
                 if resp.status_code not in (429, 500, 502, 503, 504):
                     raise ClientError(f"HTTP {resp.status_code}: {resp.text[:500]}")
                 last_error = ClientError(f"HTTP {resp.status_code}")
@@ -472,22 +508,61 @@ def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int 
 _JSON_FENCE_RE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
 
 
-# A ``{`` that can open a JSON object: ``}`` or a whole quoted key and its
-# ``:`` follow.  The decoder rejects every other ``{`` before going further, so
-# trying only these finds the same object, in linear time on a reply of
-# unclosed braces or of ``{"`` repeated (each failed decode scans back to the
-# start of the reply for its error position).
-_OBJECT_START_RE = re.compile(r'\{(?=[ \t\n\r]*(?:\}|"(?:[^"\\]|\\.)*"[ \t\n\r]*:))')
+# A brace, or a quote after an even run of backslashes: the only quotes that
+# can open or close a JSON string.
+_BRACE_OR_QUOTE_RE = re.compile(r'[{}]|(?<!\\)(?:\\\\)*"')
 
 
 def _first_json_object(text: str) -> dict | None:
-    decoder = json.JSONDecoder()
-    for m in _OBJECT_START_RE.finditer(text):
-        try:
-            obj, _ = decoder.raw_decode(text, m.start())
-        except ValueError:
+    """What ``raw_decode`` finds at the first ``{`` of ``text`` where it succeeds.
+
+    Within an object, a brace is outside every string exactly when the
+    unescaped quotes before it and those before the object's ``{`` are
+    equal in number mod 2, so one pass matches the braces of each parity.
+    The decoder is then handed spans, not the whole text: a failed decode
+    counts lines back to the start of what it is given.  A span ends just
+    after a brace of the object's parity, where a decode cut short fails at
+    the very end, and only then is a span twice as long tried, up to the
+    ``}`` that closes the ``{``.  A ``{`` that nothing closes is never
+    decoded, nor one nested in a failed decode and still open where it
+    failed, since its own decode fails there too.
+    """
+    braces: tuple[list[int], list[int]] = ([], [])  # positions, by the parity of the quotes before them
+    unclosed: tuple[list[int], list[int]] = ([], [])
+    parity, closer = {}, {}
+    quotes = 0
+    for m in _BRACE_OR_QUOTE_RE.finditer(text):
+        if text[m.end() - 1] == '"':
+            quotes += 1
             continue
-        if isinstance(obj, dict):
+        side, at = quotes % 2, m.start()
+        braces[side].append(at)
+        if text[at] == "{":
+            parity[at] = side
+            unclosed[side].append(at)
+        elif unclosed[side]:
+            closer[unclosed[side].pop()] = at
+    decoder = json.JSONDecoder()
+    failed_at = [-1, -1]  # by parity, where the last failed decode stopped
+    for start, side in parity.items():  # every ``{``, in order
+        close = closer.get(start)
+        if close is None or start < failed_at[side] <= close:
+            continue
+        anchors = braces[side]
+        last = bisect.bisect_left(anchors, close)
+        i = bisect.bisect_right(anchors, start)
+        while True:
+            end = anchors[i] + 1
+            try:
+                obj, _ = decoder.raw_decode(text[start:end])
+            except ValueError as exc:  # not JSON, or an integer too long for int()
+                pos = getattr(exc, "pos", None)
+                if pos == end - start and i < last:
+                    i = min(bisect.bisect_left(anchors, start + 2 * (end - start), i + 1), last)
+                    continue
+                if pos is not None:
+                    failed_at[side] = start + pos
+                break
             return obj
     return None
 
@@ -850,10 +925,29 @@ def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | No
     return result
 
 
-def expand_transcript(record: dict, instance: TaskInstance) -> list[dict]:
-    """The turns of a transcript record, each prompt joined back around ``instance.tkg_text``."""
-    text = instance.tkg_text
-    return [{**turn, "prompt": text.join(turn["prompt"])} for turn in record["transcript"]]
+def expand_transcripts(records: Iterable[dict], instances: Iterable[TaskInstance]) -> Iterator[dict]:
+    """The records of a transcripts file, in file order, each prompt and reply written out in full.
+
+    ``records`` are the file's lines from its first, since a reply may refer
+    to an earlier line, and ``instances`` the dataset it was written from,
+    whose rendered texts the prompts leave out.
+    """
+    texts = {inst.id: inst.tkg_text for inst in instances}
+    schema = _schema_text()
+    replies: list[list[str]] = []  # the replies of each line read so far
+    for record in records:
+        text = texts[record["instance_id"]]
+        replies.append(line_replies := [])
+        turns = []
+        for turn in record["transcript"]:
+            reply = turn["reply"]
+            if not isinstance(reply, str):
+                line, index = reply
+                reply = replies[line][index]
+            line_replies.append(reply)
+            prompt = text.join(schema.join(part) if isinstance(part, list) else part for part in turn["prompt"])
+            turns.append({**turn, "prompt": prompt, "reply": reply})
+        yield {**record, "transcript": turns}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import tkgqa.pipelines
 from tkgqa.cli import build_parser, load_config, main
 from tkgqa.errors import ClientError
 from tkgqa.generator import import_instances
-from tkgqa.pipelines import expand_transcript
+from tkgqa.pipelines import expand_transcripts
 
 
 def run_cli(*argv) -> int:
@@ -195,11 +195,11 @@ class TestEval:
         instances = {inst.id: inst for inst in import_instances(dataset)}
         lines = (workspace / "t.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 * len(instances)
-        for line in lines:
-            record = json.loads(line)
+        expanded = expand_transcripts([json.loads(line) for line in lines], instances.values())
+        for line, record in zip(lines, expanded, strict=True):
             inst = instances[record["instance_id"]]
             assert json.dumps(inst.tkg_text)[1:-1] not in line and len(line) < len(inst.tkg_text)
-            assert all(inst.tkg_text in turn["prompt"] for turn in expand_transcript(record, inst))
+            assert all(inst.tkg_text in turn["prompt"] for turn in record["transcript"])
 
     @pytest.mark.parametrize("error, code", [(ClientError("request failed"), 1), (RuntimeError("bug"), None)])
     def test_transcripts_of_finished_jobs_survive_a_failing_job(self, workspace, monkeypatch, error, code):

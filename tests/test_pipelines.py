@@ -31,7 +31,7 @@ from tkgqa.pipelines import (
     ScriptedMockClient,
     TECHNIQUES,
     coerce_answer,
-    expand_transcript,
+    expand_transcripts,
     extract_answer,
     run,
     select_function,
@@ -96,13 +96,50 @@ def _reference_first_json_object(text):
 
 
 class TestFirstJsonObject:
-    """Only a ``{`` that can open an object is decoded; the object found is the same."""
+    """Only a ``{`` that a ``}`` closes is decoded, over spans of the text; the object found is the same."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.text(alphabet='{}":,1a\\ \n\t\r', max_size=40))
     @example('{"a\\"": 1}')  # a key holding an escaped quote
     def test_matches_the_scan_at_every_brace(self, text):
         assert pipelines._first_json_object(text) == _reference_first_json_object(text)
+
+    # pieces of JSON and of malformed JSON, so that objects nest, fail deep
+    # inside and hold braces and escaped quotes in their strings
+    PIECES = ['{', '}', '[', ']', '"a"', '"\\""', '"\\\\"', '\\', '"', ':', ',', '1', '1e', 'true', ' ', '\n',
+              '"{"', '"}"', '{"a":', '{"a":1}', 'x']
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    @example('{"a":{"b":[1,{"c":x}]}} {"d":{}}')  # fails deep inside, then a later object
+    @example('{"a":"}{\\"}", "b":{"c":1}}')  # braces and an escaped quote in a string
+    @example('{"a":{"b":1}x}')  # fails just after a nested object, which is the answer
+    def test_matches_the_scan_on_json_pieces(self, text):
+        assert pipelines._first_json_object(text) == _reference_first_json_object(text)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param(lambda n: '{"a":1,' * n, id="unclosed-keys"),
+            pytest.param(lambda n: '{"a":1,\n' * n + "}" * n, id="nested-keys-closed"),
+            pytest.param(lambda n: '{"a":' * n + "x" + "}" * n, id="nested-failing-deep"),
+            pytest.param(lambda n: '{"a":[' * n + "]}" * n, id="nested-valid"),
+            pytest.param(lambda n: '{"a":1,' * n + '{"answer": 1}', id="valid-after-keys"),
+        ],
+    )
+    def test_decoder_work_is_linear(self, family):
+        """The characters handed to the decoder stay within a few times the reply's length."""
+        for n in (100, 4_000):
+            text = family(n)
+            with mock.patch.object(
+                json.JSONDecoder, "raw_decode", autospec=True, side_effect=json.JSONDecoder.raw_decode
+            ) as raw_decode:
+                try:
+                    pipelines._first_json_object(text)
+                except RecursionError:  # nesting too deep for the decoder
+                    pass
+            handed = sum(len(call.args[1]) for call in raw_decode.call_args_list)
+            assert handed <= 4 * len(text), (n, handed, len(text))
 
     def test_unclosed_braces_are_never_decoded(self):
         with mock.patch.object(
@@ -595,8 +632,8 @@ class TestDeterminism:
         assert first.transcript == second.transcript
         assert first.answer == second.answer
         assert first.llm_calls == second.llm_calls
-        assert json.dumps(first.transcript_record(inst.tkg_text), sort_keys=True) == json.dumps(
-            second.transcript_record(inst.tkg_text), sort_keys=True
+        assert json.dumps(first.transcript_record(inst.tkg_text, {}, 0), sort_keys=True) == json.dumps(
+            second.transcript_record(inst.tkg_text, {}, 0), sort_keys=True
         )
 
     def test_graph_never_mutated(self, instances):
@@ -622,12 +659,12 @@ def instances_10k():
 
 
 class TestTranscriptRecord:
-    """A record keeps each prompt as its parts around the instance's text; expand_transcript joins them."""
+    """A record keeps each prompt as its parts around the instance's text; expand_transcripts joins them."""
 
     @staticmethod
     def stored_and_expanded(result, inst):
-        record = json.loads(json.dumps(result.transcript_record(inst.tkg_text)))
-        return record, expand_transcript(record, inst)
+        record = json.loads(json.dumps(result.transcript_record(inst.tkg_text, {}, 0)))
+        return record, next(expand_transcripts([record], [inst]))["transcript"]
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_round_trip(self, default_instances, instances_10k, technique):
@@ -635,7 +672,13 @@ class TestTranscriptRecord:
             result = run(inst, technique, OracleMockClient(inst))
             record, expanded = self.stored_and_expanded(result, inst)
             assert expanded == result.transcript
-            assert not any(inst.tkg_text in part for turn in record["transcript"] for part in turn["prompt"])
+            pieces = [
+                piece
+                for turn in record["transcript"]
+                for part in turn["prompt"]
+                for piece in (part if isinstance(part, list) else [part])
+            ]
+            assert not any(inst.tkg_text in piece or pipelines._schema_text() in piece for piece in pieces)
 
     def test_text_echoed_into_later_prompts(self, default_instances):
         inst = by_type(default_instances, "timeline")
@@ -660,7 +703,10 @@ class TestTranscriptRecord:
         assert inst.tkg_text == ""
         result = run(inst, technique, OracleMockClient(inst))
         record, expanded = self.stored_and_expanded(result, inst)
-        assert [turn["prompt"] for turn in record["transcript"]] == [[turn["prompt"]] for turn in result.transcript]
+        schema = pipelines._schema_text()
+        assert [turn["prompt"] for turn in record["transcript"]] == [
+            [turn["prompt"].split(schema) if schema in turn["prompt"] else turn["prompt"]] for turn in result.transcript
+        ]
         assert expanded == result.transcript
 
 
@@ -717,6 +763,68 @@ class TestSplitAround:
     )
     def test_fixed_cases(self, prompt, text):
         assert pipelines._split_around(prompt, text) == prompt.split(text)
+
+
+class TestTranscriptsFile:
+    """Lines written in job order, as ``eval`` writes them, expand back to every run's prompts and replies."""
+
+    @staticmethod
+    def write(jobs, client=OracleMockClient):
+        """(results, records) of ``jobs`` run in order; each record is read back from its JSON line."""
+        stored, results, records = {}, [], []
+        for line, (inst, technique) in enumerate(jobs):
+            results.append(run(inst, technique, client(inst)))
+            records.append(json.loads(json.dumps(results[-1].transcript_record(inst.tkg_text, stored, line))))
+        return results, records
+
+    @pytest.mark.parametrize("size", ["270 facts", "10k facts"])
+    def test_every_line_expands_to_its_run(self, default_instances, instances_10k, size):
+        insts = default_instances if size == "270 facts" else instances_10k
+        results, records = self.write([(inst, tech) for tech in TECHNIQUES for inst in insts])
+        expanded = list(expand_transcripts(records, insts))
+        assert [record["transcript"] for record in expanded] == [result.transcript for result in results]
+        assert [{**e, "transcript": None} for e in expanded] == [{**r, "transcript": None} for r in records]
+        first = {}  # reply -> the (line, turn) of its first copy
+        for i, record in enumerate(records):
+            for j, turn in enumerate(record["transcript"]):
+                reply = expanded[i]["transcript"][j]["reply"]
+                where = first.setdefault(reply, (i, j))
+                if where != (i, j) and len(json.dumps(where)) < len(reply) + 2:
+                    assert turn["reply"] == list(where)  # backward, to the copy held in full
+                    assert len(json.dumps(turn["reply"])) < len(json.dumps(reply))
+                else:
+                    assert turn["reply"] == reply
+        restatements = [t["reply"] for r in records for t in r["transcript"] if t["step"] == "structure_data"]
+        assert sum(isinstance(reply, str) for reply in restatements) == 1 and len(restatements) == 2 * len(insts)
+
+    def test_distinct_replies_are_stored_in_full(self, default_instances):
+        """With no repeated reply, a line is no longer than one that keeps the schema text in its prompt."""
+        counter = iter(range(10**6))
+
+        class DistinctClient:
+            def __init__(self, inst):
+                pass
+
+            def complete(self, messages, **kwargs):
+                return fenced({"answer": f"E{next(counter)}", "name": "timeline", "arguments": {"s": "E1"}})
+
+        jobs = [(inst, tech) for tech in ("direct", "tot", "cotapi", "cotapi_s") for inst in default_instances]
+        results, records = self.write(jobs, DistinctClient)
+        schema = pipelines._schema_text()
+        for result, record, (inst, _) in zip(results, records, jobs):
+            assert all(isinstance(turn["reply"], str) for turn in record["transcript"])
+            unsplit = [{**turn, "prompt": turn["prompt"].split(inst.tkg_text)} for turn in result.transcript]
+            stored, unstored = len(json.dumps(record)), len(json.dumps({**record, "transcript": unsplit}))
+            assert stored <= unstored and (stored < unstored) == any(schema in t["prompt"] for t in result.transcript)
+
+    @pytest.mark.parametrize("reply, stored", [("abcd", ["abcd"] * 3), ("abcde", ["abcde", (0, 0), (0, 0)])])
+    def test_reference_only_when_shorter(self, default_instances, reply, stored):
+        """A reply repeated within one line; ``[0, 0]`` takes 6 characters, as many as ``"abcd"``."""
+        inst = by_type(default_instances, "timeline")
+        result = run(inst, "cot", ScriptedMockClient([reply] * 3))
+        record = result.transcript_record(inst.tkg_text, {}, 0)
+        assert [turn["reply"] for turn in record["transcript"]] == stored
+        assert next(expand_transcripts([json.loads(json.dumps(record))], [inst]))["transcript"] == result.transcript
 
 
 class RecordingClient:
@@ -831,6 +939,32 @@ class TestLiveClient:
             client.complete([{"role": "user", "content": "x"}], model="m", step="direct")
         assert len(posts) == 4
         assert sleeps == [1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param({"choices": [{"message": {"content": None}}]}, "content is NoneType", id="null-content"),
+            pytest.param({"choices": [{"message": {"content": [{"type": "text"}]}}]}, "content is list", id="list-content"),
+            pytest.param(["choices"], "malformed completion response", id="list-body"),
+            pytest.param("choices", "malformed completion response", id="string-body"),
+            pytest.param({"choices": "x"}, "malformed completion response", id="string-choices"),
+        ],
+    )
+    def test_malformed_completion_is_a_client_error(self, instances, monkeypatch, body, message):
+        import requests
+
+        class Completed:
+            status_code = 200
+
+            def json(self):
+                return body
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Completed())
+        client = LiveChatClient("http://endpoint.invalid", "key", requests_per_second=0)
+        with pytest.raises(ClientError, match=message):
+            client.complete([{"role": "user", "content": "x"}], model="m", step="direct")
+        with pytest.raises(ClientError, match=message):  # out of run as eval expects, not a TypeError
+            run(by_type(instances, "timeline"), "direct", client)
 
 
 class TestTemporalConfidence:
