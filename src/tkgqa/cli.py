@@ -214,7 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for line, (inst, result, ok) in enumerate(mapper(run_one, jobs)):
             rows.append(make_row(inst, result, ok))
             if transcripts is not None:
-                record = result.transcript_record(inst.tkg_text, stored, line)
+                record = result.transcript_record(stored, line)
                 transcripts.write(json.dumps(record, sort_keys=True) + "\n")
     if args.rows:
         save_rows(rows, args.rows)

@@ -104,7 +104,7 @@ class TKG:
     share across threads.
     """
 
-    __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o")
+    __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o", "_hash")
 
     def __init__(self, facts: Iterable[Fact | tuple] = ()):
         clean: list[Fact] = []
@@ -121,6 +121,7 @@ class TKG:
         self._by_s: dict[str, list[Fact]] | None = None
         self._by_r: dict[str, list[Fact]] | None = None
         self._by_o: dict[str, list[Fact]] | None = None
+        self._hash: int | None = None
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -134,7 +135,10 @@ class TKG:
         return self.facts == other.facts
 
     def __hash__(self) -> int:
-        return hash(self.facts)
+        # a tuple does not keep its hash, and the facts never change: hash them once
+        if self._hash is None:
+            self._hash = hash(self.facts)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"TKG({len(self.facts)} facts, {len(self.entities)} entities, {len(self.relations)} relations)"

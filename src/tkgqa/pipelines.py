@@ -26,6 +26,7 @@ import json
 import logging
 import random
 import re
+import string
 import threading
 import time
 from dataclasses import dataclass, field
@@ -75,15 +76,46 @@ TOT_BEAM = 2
 TOT_BRANCH = 3
 
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
-_prompt_cache: dict[tuple[str, str], str] = {}
 
 
-def _prompt(name: str, prompts_dir: Path | None = None) -> str:
+@functools.cache
+def _template(name: str, prompts_dir: Path | None = None) -> list[tuple[str, str | None]]:
+    """The ``name`` template's pieces (:func:`_split_template`), read and split once."""
     base = Path(prompts_dir) if prompts_dir is not None else _PROMPTS_DIR
-    key = (str(base), name)
-    if key not in _prompt_cache:
-        _prompt_cache[key] = (base / f"{name}.txt").read_text(encoding="utf-8").strip()
-    return _prompt_cache[key]
+    return _split_template((base / f"{name}.txt").read_text(encoding="utf-8").strip())
+
+
+def _split_template(template: str) -> list[tuple[str, str | None]]:
+    """``template`` as (literal text, replacement field) pieces, for :func:`_fill`.
+
+    A field is kept as a format string of that field alone, and the literal
+    text with its ``{{`` and ``}}`` unescaped.  A template that does not parse
+    raises ``ValueError`` here.
+    """
+    pieces = []
+    for literal, name, spec, conversion in string.Formatter().parse(template):
+        if name is not None:
+            name = "{" + name + ("" if conversion is None else "!" + conversion) + ":" + spec + "}"
+        pieces.append((literal, name))
+    return pieces
+
+
+def _fill(pieces: list[tuple[str, str | None]], fields: dict) -> str:
+    """``template.format(**fields)`` of the template split into ``pieces``, built in one copy.
+
+    ``str.format`` writes into a buffer that it over-allocates by a quarter as
+    it grows; ``str.join`` sizes the result first.  A field that is a string
+    with no conversion or spec formats to that very string, so the rendered
+    text is copied only into the result.  Each field raises what ``str.format``
+    raises for it, in the same order: ``{}`` and ``{0}`` raise ``IndexError``,
+    as no positional fields are given.
+    """
+    out = []
+    for literal, field in pieces:
+        out.append(literal)
+        if field is not None:
+            out.append(field.format(**fields))
+    return "".join(out)
 
 
 _ANSWER_HINTS = {
@@ -112,7 +144,7 @@ class PipelineResult:
     answer: Answer | None = None
     raw_answer: object = None
     explanation: str = ""
-    transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns
+    transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns; prompts as _stored_prompt keeps them
     wall_time: float = 0.0
     llm_calls: int = 0
     function_calls: list = field(default_factory=list)  # (FunctionCall, associated)
@@ -120,26 +152,22 @@ class PipelineResult:
     errors: list = field(default_factory=list)
     parse_error: bool = False
 
-    def transcript_record(self, text: str, stored: dict[bytes, tuple[int, int]], line: int) -> dict:
+    def transcript_record(self, stored: dict[bytes, tuple[int, int]], line: int) -> dict:
         """This result's line of a transcripts file (timings deliberately excluded).
 
         ``line`` is the line's index in the file, and ``stored`` maps the
         sha256 of each reply the file already holds in full to its
-        ``(line, turn)``; the record adds its own.  The rendered ``text`` and
-        the schema text are left out of each prompt (:func:`_stored_prompt`),
-        and a reply held earlier becomes a reference to it when that is
-        shorter; :func:`expand_transcripts` undoes both.
+        ``(line, turn)``; the record adds its own.  Each prompt is written as
+        the turn holds it, without the rendered text and the schema text
+        (:func:`_stored_prompt`), and a reply held earlier becomes a reference
+        to it when that is shorter; :func:`expand_transcripts` undoes both.
         """
         return {
             "instance_id": self.instance_id,
             "technique": self.technique,
             "llm_calls": self.llm_calls,
             "transcript": [
-                {
-                    **turn,
-                    "prompt": _stored_prompt(turn["prompt"], text),
-                    "reply": _stored_reply(turn["reply"], stored, (line, index)),
-                }
+                {**turn, "reply": _stored_reply(turn["reply"], stored, (line, index))}
                 for index, turn in enumerate(self.transcript)
             ],
             "answer": self.answer.to_json() if self.answer is not None else None,
@@ -420,12 +448,25 @@ class RandomFunctionMockClient(OracleMockClient):
         return _json_fence({"name": name, "arguments": arguments})
 
 
+RETRY_AFTER_CAP = 60  # seconds: the longest wait a Retry-After header is honoured for
+
+
+def _retry_after(resp) -> int | None:
+    """The wait a 429 or 503 response asks for in delta-seconds, capped; None otherwise."""
+    if resp.status_code not in (429, 503):
+        return None
+    value = resp.headers.get("Retry-After", "").strip()
+    return min(int(value), RETRY_AFTER_CAP) if value.isascii() and value.isdigit() else None
+
+
 class LiveChatClient:
     """Minimal chat-completions HTTP client with retries and pacing.
 
     The API key comes from the environment only.  Requests are paced by a
     minimum-interval token bucket; how many run at once is the caller's
-    worker count (``eval --parallelism``).
+    worker count (``eval --parallelism``).  Before a retry it waits as long as
+    a 429 or 503 response's ``Retry-After`` asks, up to ``RETRY_AFTER_CAP``
+    seconds, and otherwise backs off exponentially.
     """
 
     def __init__(
@@ -465,9 +506,11 @@ class LiveChatClient:
             "max_tokens": max_tokens,
         }
         last_error: Exception | None = None
+        wait: int | None = None  # what the last response asked for
         for attempt in range(self.max_retries):
-            if attempt:
-                time.sleep(min(2 ** (attempt - 1), 8))  # backoff between attempts only
+            if attempt:  # between attempts only
+                time.sleep(min(2 ** (attempt - 1), 8) if wait is None else wait)
+                wait = None
             self._pace()
             try:
                 resp = requests.post(
@@ -489,6 +532,7 @@ class LiveChatClient:
                     return content
                 if resp.status_code not in (429, 500, 502, 503, 504):
                     raise ClientError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+                wait = _retry_after(resp)
                 last_error = ClientError(f"HTTP {resp.status_code}")
         raise ClientError(f"request failed after {self.max_retries} attempts: {last_error}")
 
@@ -674,19 +718,28 @@ def select_function(reply: str) -> FunctionCall:
 
 
 class _Chain:
-    """One conversation with call accounting: the only caller of ``client.complete``."""
+    """One conversation with call accounting: the only caller of ``client.complete``.
 
-    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult):
+    ``text`` is the instance's rendered text, which the recorded prompts leave out.
+    """
+
+    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult, text: str):
         self.client = client
         self.cfg = cfg
         self.result = result
+        self.text = text
         self.messages: list[dict] = []
 
     def ask(self, step: str, *, fresh: bool = False, **fields) -> str:
-        """Send the ``step`` template, formatted with ``fields``; the reply."""
-        prompt = _prompt(step, self.cfg.prompts_dir).format(**fields)
+        """Send the ``step`` template, filled with ``fields``; the reply.
+
+        The turn is recorded with its prompt in the stored form
+        (:func:`_stored_prompt`), so the full prompt is held only by
+        ``messages``, which a ``fresh`` ask clears before it fills its own.
+        """
         if fresh:
             self.messages = []
+        prompt = _fill(_template(step, self.cfg.prompts_dir), fields)
         self.messages.append({"role": "user", "content": prompt})
         reply = self.client.complete(
             self.messages,
@@ -697,7 +750,7 @@ class _Chain:
         )
         self.messages.append({"role": "assistant", "content": reply})
         self.result.llm_calls += 1
-        self.result.transcript.append({"step": step, "prompt": prompt, "reply": reply})
+        self.result.transcript.append({"step": step, "prompt": _stored_prompt(prompt, self.text), "reply": reply})
         return reply
 
 
@@ -710,8 +763,8 @@ def _excerpt(text: str) -> str:
 def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> str:
     data = instance.tkg_text if full_text else _excerpt(instance.tkg_text)
     hint = _ANSWER_HINTS.get(instance.answer_type, "")
-    return _prompt("statement", prompts_dir).format(
-        question=instance.question_text, answer_hint=hint, data=data
+    return _fill(
+        _template("statement", prompts_dir), {"question": instance.question_text, "answer_hint": hint, "data": data}
     )
 
 
@@ -915,7 +968,7 @@ def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | No
     runner, full_text = _TECHNIQUES[technique]
     cfg = cfg or PipelineConfig()
     result = PipelineResult(technique=technique, instance_id=instance.id)
-    chain = _Chain(client, cfg, result)
+    chain = _Chain(client, cfg, result, instance.tkg_text)
     started = time.perf_counter()
     try:
         statement = _statement(instance, full_text, cfg.prompts_dir)
@@ -960,7 +1013,7 @@ def temporal_confidence(question: str, data_excerpt: str, client, cfg: PipelineC
     Returns None when the reply yields no numeric score (the caller should
     flag the task); out-of-range scores are clamped with a warning.
     """
-    chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""))
+    chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""), "")
     obj = _reply_json(chain.ask("confidence", question=question, data=data_excerpt))
     score = obj.get("score") if isinstance(obj, dict) else None
     if isinstance(score, bool) or not isinstance(score, (int, float)):

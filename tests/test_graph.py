@@ -33,6 +33,20 @@ class TestBuild:
         assert g.relations == {"R1"}
         assert len(g.facts) == 1
 
+    def test_hash_is_the_facts_hash_computed_once(self, monkeypatch):
+        facts = [("E1", "R1", "E2", 2000, 2005), ("E2", "R2", "E3", 2001, 2003)]
+        g, again = TKG(facts), TKG(list(facts))
+        assert g is not again and g == again
+        assert hash(g) == hash(g.facts) == hash(again) == hash(tuple(Fact(*f) for f in facts))
+        assert hash(TKG()) == hash(())
+        calls = []
+        real = tuple.__hash__
+        monkeypatch.setattr(Fact, "__hash__", lambda f: calls.append(f) or real(f))
+        fresh = TKG(facts)
+        calls.clear()
+        assert hash(fresh) == hash(fresh) == hash(g)
+        assert len(calls) == len(facts)  # the facts were hashed for the first call only
+
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateFactError) as err:
             TKG([("E1", "R1", "E2", 2000, 2005), ("E1", "R1", "E2", 2000, 2005)])

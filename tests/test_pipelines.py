@@ -4,6 +4,8 @@ import gc
 import json
 import logging
 import re
+import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -53,6 +55,25 @@ def by_type(instances, qtype):
 
 def fenced(obj) -> str:
     return "```json\n" + json.dumps(obj) + "\n```"
+
+
+class RecordingClient:
+    """Delegates to ``client`` and records the step and the prompt of every call, as received."""
+
+    def __init__(self, client):
+        self.client = client
+        self.steps = []
+        self.prompts = []
+
+    def complete(self, messages, **kwargs):
+        self.steps.append(kwargs["step"])
+        self.prompts.append(messages[-1]["content"])
+        return self.client.complete(messages, **kwargs)
+
+
+def received(result, client: RecordingClient) -> list[dict]:
+    """``result``'s transcript with each prompt as ``client`` received it."""
+    return [{**turn, "prompt": prompt} for turn, prompt in zip(result.transcript, client.prompts, strict=True)]
 
 
 class TestExtractAnswer:
@@ -632,8 +653,8 @@ class TestDeterminism:
         assert first.transcript == second.transcript
         assert first.answer == second.answer
         assert first.llm_calls == second.llm_calls
-        assert json.dumps(first.transcript_record(inst.tkg_text, {}, 0), sort_keys=True) == json.dumps(
-            second.transcript_record(inst.tkg_text, {}, 0), sort_keys=True
+        assert json.dumps(first.transcript_record({}, 0), sort_keys=True) == json.dumps(
+            second.transcript_record({}, 0), sort_keys=True
         )
 
     def test_graph_never_mutated(self, instances):
@@ -659,19 +680,21 @@ def instances_10k():
 
 
 class TestTranscriptRecord:
-    """A record keeps each prompt as its parts around the instance's text; expand_transcripts joins them."""
+    """A turn keeps each prompt as its parts around the instance's text; expand_transcripts joins them."""
 
     @staticmethod
     def stored_and_expanded(result, inst):
-        record = json.loads(json.dumps(result.transcript_record(inst.tkg_text, {}, 0)))
+        record = json.loads(json.dumps(result.transcript_record({}, 0)))
+        assert [turn["prompt"] for turn in record["transcript"]] == [turn["prompt"] for turn in result.transcript]
         return record, next(expand_transcripts([record], [inst]))["transcript"]
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_round_trip(self, default_instances, instances_10k, technique):
         for inst in default_instances + instances_10k:
-            result = run(inst, technique, OracleMockClient(inst))
+            client = RecordingClient(OracleMockClient(inst))
+            result = run(inst, technique, client)
             record, expanded = self.stored_and_expanded(result, inst)
-            assert expanded == result.transcript
+            assert expanded == received(result, client)
             pieces = [
                 piece
                 for turn in record["transcript"]
@@ -683,16 +706,16 @@ class TestTranscriptRecord:
     def test_text_echoed_into_later_prompts(self, default_instances):
         inst = by_type(default_instances, "timeline")
         text = inst.tkg_text
-        client = ScriptedMockClient(
+        client = RecordingClient(ScriptedMockClient(
             {
                 'keys "Option1"': fenced({"Option1": text, "Option2": text[:-1], "Option3": text + text}),
                 'field "score"': fenced({"score": 8}),
                 "": fenced({"answer": list(inst.gold.value)}),
             }
-        )
+        ))
         result = run(inst, "tot", client)
         record, expanded = self.stored_and_expanded(result, inst)
-        assert expanded == result.transcript
+        assert expanded == received(result, client)
         # at most four copies: the statement's, and three in a depth-2 state "text -> text + text"
         assert max(len(turn["prompt"]) for turn in record["transcript"]) == 5
 
@@ -701,13 +724,44 @@ class TestTranscriptRecord:
         base = by_type(default_instances, "timeline")
         inst = dataclasses.replace(base, tkg=TKG(), tkg_text=render_text(TKG(), seed=base.render_seed))
         assert inst.tkg_text == ""
-        result = run(inst, technique, OracleMockClient(inst))
+        client = RecordingClient(OracleMockClient(inst))
+        result = run(inst, technique, client)
         record, expanded = self.stored_and_expanded(result, inst)
         schema = pipelines._schema_text()
         assert [turn["prompt"] for turn in record["transcript"]] == [
-            [turn["prompt"].split(schema) if schema in turn["prompt"] else turn["prompt"]] for turn in result.transcript
+            [prompt.split(schema) if schema in prompt else prompt] for prompt in client.prompts
         ]
-        assert expanded == result.transcript
+        assert expanded == received(result, client)
+
+
+class TestTurnMemory:
+    """A job holds each full prompt only while it is asked; its turns keep the stored parts."""
+
+    def test_no_stored_part_holds_the_text(self, instances_10k):
+        inst = instances_10k[0]
+        result = run(inst, "tot", OracleMockClient(inst))
+        assert result.llm_calls == len(result.transcript) == 14
+        assert all(len(turn["prompt"]) == 2 for turn in result.transcript)  # each prompt carried the text once
+        assert not any(
+            inst.tkg_text in piece
+            for turn in result.transcript
+            for part in turn["prompt"]
+            for piece in (part if isinstance(part, list) else [part])
+        )
+
+    def test_peak_stays_near_two_copies_of_the_text(self, instances_10k):
+        """The statement and the prompt being asked: 2.05x the text at 10k facts, against 15.3x
+        when every turn kept its full prompt until the job ended."""
+        inst = instances_10k[0]
+        run(inst, "tot", OracleMockClient(inst))  # warm the template and schema caches
+        tracemalloc.start()
+        try:
+            result = run(inst, "tot", OracleMockClient(inst))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.answer == inst.gold
+        assert peak < 3 * len(inst.tkg_text)
 
 
 def _split_cases():
@@ -765,24 +819,118 @@ class TestSplitAround:
         assert pipelines._split_around(prompt, text) == prompt.split(text)
 
 
+FILL_FIELDS = {
+    "a": "xy",
+    "b": 42,
+    "w": 6,
+    "o": types.SimpleNamespace(attr="z"),
+    "l": ["p", 7],
+    "d": {"k": "v"},
+}
+
+
+def _well_formed_templates():
+    """Templates that ``str.format(**FILL_FIELDS)`` fills: escapes, conversions, nested specs, attributes and items."""
+    literal = st.text(alphabet="ab {}\n", max_size=4).map(lambda t: t.replace("{", "{{").replace("}", "}}"))
+    name = st.sampled_from(["a", "b", "w", "o.attr", "l[0]", "l[1]", "d[k]"])
+    conversion = st.sampled_from(["", "!r", "!s", "!a"])
+    spec = st.sampled_from(["", ":", ":>8", ":*^{w}", ":{w}", ":<{w}", ":{l[1]}", ":{d[k]}>5"])
+    field = st.builds(lambda n, c, f: "{" + n + c + f + "}", name, conversion, spec)
+    return st.lists(st.one_of(literal, field), max_size=8).map("".join)
+
+
+def _any_templates():
+    """Strings over the characters of the format syntax, most of which ``str.format`` rejects."""
+    return st.lists(
+        st.one_of(st.text(alphabet="{}!:.[]0abrsxwlo", max_size=6), _well_formed_templates()), max_size=3
+    ).map("".join)
+
+
+class TestFill:
+    """A template filled from its pieces is what ``str.format`` makes of it, or fails as it does."""
+
+    @staticmethod
+    def fill(template: str) -> str:
+        return pipelines._fill(pipelines._split_template(template), FILL_FIELDS)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_well_formed_templates())
+    @example("{{a}}{a:{w}}{b!r:>{w}}{o.attr!a}{l[0]}{d[k]!s:*^{w}}")
+    def test_equals_str_format(self, template):
+        assert self.fill(template) == template.format(**FILL_FIELDS)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_any_templates())
+    @example("{}")
+    @example("{0}")
+    @example("{a:{}}")
+    @example("{c} }")
+    @example("{a.attr}")
+    @example("{l[5]}")
+    @example("{a!x}")
+    @example("{b:s}")
+    def test_rejects_what_str_format_rejects(self, template):
+        """Each field raises what ``str.format`` raises for it, so ``{}`` raises ``IndexError``; a
+        template that does not parse raises ``ValueError`` when it is split, before its fields are
+        looked up, where ``str.format`` may first fail on a field to the left of the fault."""
+        try:
+            expected = template.format(**FILL_FIELDS)
+        except Exception as exc:
+            expected = type(exc)
+        try:
+            pieces = pipelines._split_template(template)
+        except ValueError:
+            assert isinstance(expected, type)
+            return
+        try:
+            got = pipelines._fill(pieces, FILL_FIELDS)
+        except Exception as exc:
+            got = type(exc)
+        assert got == expected
+
+    def test_positional_fields_raise_index_error(self):
+        for template in ("{}", "{0}", "x{a}{}", "{a:{}}"):
+            with pytest.raises(IndexError):
+                self.fill(template)
+
+    def test_the_text_is_copied_once(self):
+        """A string field formats to itself, and the join allocates only the result: ``str.format``
+        peaks at 1.25x the result, as it grows its buffer."""
+        text = "fact " * 200_000
+        (literal, field), (tail, _) = pieces = pipelines._split_template("a {task} b")
+        assert (literal, tail) == ("a ", " b") and field.format(task=text) is text
+        tracemalloc.start()
+        try:
+            filled = pipelines._fill(pieces, {"task": text})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert filled == f"a {text} b" and peak < 1.05 * len(text)
+
+
 class TestTranscriptsFile:
     """Lines written in job order, as ``eval`` writes them, expand back to every run's prompts and replies."""
 
     @staticmethod
     def write(jobs, client=OracleMockClient):
-        """(results, records) of ``jobs`` run in order; each record is read back from its JSON line."""
-        stored, results, records = {}, [], []
+        """(results, records, the transcripts as received) of ``jobs`` run in order.
+
+        Each record is read back from its JSON line.
+        """
+        stored, results, records, transcripts = {}, [], [], []
         for line, (inst, technique) in enumerate(jobs):
-            results.append(run(inst, technique, client(inst)))
-            records.append(json.loads(json.dumps(results[-1].transcript_record(inst.tkg_text, stored, line))))
-        return results, records
+            recorder = RecordingClient(client(inst))
+            results.append(run(inst, technique, recorder))
+            records.append(json.loads(json.dumps(results[-1].transcript_record(stored, line))))
+            transcripts.append(received(results[-1], recorder))
+        return results, records, transcripts
 
     @pytest.mark.parametrize("size", ["270 facts", "10k facts"])
     def test_every_line_expands_to_its_run(self, default_instances, instances_10k, size):
         insts = default_instances if size == "270 facts" else instances_10k
-        results, records = self.write([(inst, tech) for tech in TECHNIQUES for inst in insts])
+        _, records, transcripts = self.write([(inst, tech) for tech in TECHNIQUES for inst in insts])
         expanded = list(expand_transcripts(records, insts))
-        assert [record["transcript"] for record in expanded] == [result.transcript for result in results]
+        assert [record["transcript"] for record in expanded] == transcripts
         assert [{**e, "transcript": None} for e in expanded] == [{**r, "transcript": None} for r in records]
         first = {}  # reply -> the (line, turn) of its first copy
         for i, record in enumerate(records):
@@ -809,34 +957,23 @@ class TestTranscriptsFile:
                 return fenced({"answer": f"E{next(counter)}", "name": "timeline", "arguments": {"s": "E1"}})
 
         jobs = [(inst, tech) for tech in ("direct", "tot", "cotapi", "cotapi_s") for inst in default_instances]
-        results, records = self.write(jobs, DistinctClient)
+        _, records, transcripts = self.write(jobs, DistinctClient)
         schema = pipelines._schema_text()
-        for result, record, (inst, _) in zip(results, records, jobs):
+        for record, transcript, (inst, _) in zip(records, transcripts, jobs):
             assert all(isinstance(turn["reply"], str) for turn in record["transcript"])
-            unsplit = [{**turn, "prompt": turn["prompt"].split(inst.tkg_text)} for turn in result.transcript]
+            unsplit = [{**turn, "prompt": turn["prompt"].split(inst.tkg_text)} for turn in transcript]
             stored, unstored = len(json.dumps(record)), len(json.dumps({**record, "transcript": unsplit}))
-            assert stored <= unstored and (stored < unstored) == any(schema in t["prompt"] for t in result.transcript)
+            assert stored <= unstored and (stored < unstored) == any(schema in t["prompt"] for t in transcript)
 
     @pytest.mark.parametrize("reply, stored", [("abcd", ["abcd"] * 3), ("abcde", ["abcde", (0, 0), (0, 0)])])
     def test_reference_only_when_shorter(self, default_instances, reply, stored):
         """A reply repeated within one line; ``[0, 0]`` takes 6 characters, as many as ``"abcd"``."""
         inst = by_type(default_instances, "timeline")
-        result = run(inst, "cot", ScriptedMockClient([reply] * 3))
-        record = result.transcript_record(inst.tkg_text, {}, 0)
+        client = RecordingClient(ScriptedMockClient([reply] * 3))
+        result = run(inst, "cot", client)
+        record = result.transcript_record({}, 0)
         assert [turn["reply"] for turn in record["transcript"]] == stored
-        assert next(expand_transcripts([json.loads(json.dumps(record))], [inst]))["transcript"] == result.transcript
-
-
-class RecordingClient:
-    """Delegates to the oracle mock and records the step of every call."""
-
-    def __init__(self, inst):
-        self.oracle = OracleMockClient(inst)
-        self.steps = []
-
-    def complete(self, messages, **kwargs):
-        self.steps.append(kwargs["step"])
-        return self.oracle.complete(messages, **kwargs)
+        assert next(expand_transcripts([json.loads(json.dumps(record))], [inst]))["transcript"] == received(result, client)
 
 
 class TestSteps:
@@ -856,7 +993,7 @@ class TestSteps:
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_step_sequence(self, instances, technique):
         inst = by_type(instances, "timeline")
-        client = RecordingClient(inst)
+        client = RecordingClient(OracleMockClient(inst))
         result = run(inst, technique, client)
         assert client.steps == self.EXPECTED[technique]
         assert result.llm_calls == len(client.steps)
@@ -870,7 +1007,7 @@ class TestSteps:
         assert templates == steps | {"statement"}
 
     def test_confidence_is_a_step(self):
-        client = RecordingClient(None)
+        client = RecordingClient(OracleMockClient(None))
         temporal_confidence("q", "d", client)
         assert client.steps == ["confidence"]
 
@@ -912,8 +1049,9 @@ class TestRewordedPrompts:
     def test_oracle_full_marks(self, instances, prompts_dir, technique):
         cfg = PipelineConfig(prompts_dir=prompts_dir)
         for inst in instances:
-            result = run(inst, technique, OracleMockClient(inst), cfg)
-            assert result.transcript[0]["prompt"].startswith("Reworded. ")
+            client = RecordingClient(OracleMockClient(inst))
+            result = run(inst, technique, client, cfg)
+            assert client.prompts[0].startswith("Reworded. ")
             assert not result.errors, (technique, inst.id)
             assert score(result, inst.gold, inst.question_type), (technique, inst.id)
 
@@ -930,6 +1068,7 @@ class TestLiveClient:
         class Unavailable:
             status_code = 503
             text = "busy"
+            headers = {}
 
         posts, sleeps = [], []
         monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(kwargs) or Unavailable())
@@ -939,6 +1078,65 @@ class TestLiveClient:
             client.complete([{"role": "user", "content": "x"}], model="m", step="direct")
         assert len(posts) == 4
         assert sleeps == [1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "status, retry_after, sleeps",
+        [
+            pytest.param(429, "3", [3, 3, 3], id="429-delta-seconds"),
+            pytest.param(503, " 0 ", [0, 0, 0], id="503-zero"),
+            pytest.param(503, "3600", [60, 60, 60], id="capped"),
+            pytest.param(503, "Wed, 21 Oct 2015 07:28:00 GMT", [1, 2, 4], id="http-date-backs-off"),
+            pytest.param(503, "-3", [1, 2, 4], id="negative-backs-off"),
+            pytest.param(503, "1.5", [1, 2, 4], id="fraction-backs-off"),
+            pytest.param(500, "3", [1, 2, 4], id="500-ignores-it"),
+            pytest.param(429, None, [1, 2, 4], id="no-header"),
+        ],
+    )
+    def test_retry_after(self, monkeypatch, status, retry_after, sleeps):
+        import requests
+
+        class Refused:
+            status_code = status
+            text = "slow down"
+            headers = requests.structures.CaseInsensitiveDict({} if retry_after is None else {"retry-after": retry_after})
+
+        slept = []
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Refused())
+        monkeypatch.setattr(pipelines.time, "sleep", slept.append)
+        client = LiveChatClient("http://endpoint.invalid", "key", max_retries=4, requests_per_second=0)
+        with pytest.raises(ClientError, match="after 4 attempts"):
+            client.complete([{"role": "user", "content": "x"}], model="m", step="direct")
+        assert slept == sleeps
+
+    def test_retry_after_applies_to_the_next_attempt_only(self, monkeypatch):
+        import requests
+
+        class Response:
+            def __init__(self, status_code, headers, body=None):
+                self.status_code, self.headers, self.text, self._body = status_code, headers, "", body
+
+            def json(self):
+                return self._body
+
+        responses = iter([
+            Response(429, {"Retry-After": "5"}),
+            requests.ConnectionError("reset"),
+            Response(503, {}),
+            Response(200, {}, {"choices": [{"message": {"content": "done"}}]}),
+        ])
+
+        def post(*args, **kwargs):
+            response = next(responses)
+            if isinstance(response, Exception):
+                raise response
+            return response
+
+        slept = []
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(pipelines.time, "sleep", slept.append)
+        client = LiveChatClient("http://endpoint.invalid", "key", max_retries=4, requests_per_second=0)
+        assert client.complete([{"role": "user", "content": "x"}], model="m", step="direct") == "done"
+        assert slept == [5, 2, 4]
 
     @pytest.mark.parametrize(
         "body, message",
