@@ -31,7 +31,7 @@ from .generator import (
 from .graph import load_tkg, read_jsonl, render_text, save_tkg  # noqa: F401
 from .oracle import oracle_answer
 from . import pipelines
-from .pipelines import LiveChatClient, PipelineConfig, make_mock_client, run, temporal_confidence
+from .pipelines import LiveChatClient, Memo, PipelineConfig, make_mock_client, run, temporal_confidence
 from .scoring import (
     aggregate,
     confidence_report,
@@ -193,13 +193,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # one shared live client (its pacing applies across jobs); mocks are
     # confined to a single run each
     live_client = _make_live_client(args, config) if args.mock is None else None
+    # the jobs' shared work, freed with this call: it holds no reference cycle
+    memo = Memo()
 
     def run_one(job):
         inst, tech = job
         client = live_client if live_client is not None else make_mock_client(
-            args.mock, inst, seed=args.seed or 0
+            args.mock, inst, seed=args.seed or 0, memo=memo
         )
-        result = run(inst, tech, client, cfg)
+        result = run(inst, tech, client, cfg, memo=memo)
         return inst, result, score(result, inst.gold, inst.question_type)
 
     workers = _setting(args.parallelism, config, "parallelism")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import random
@@ -60,6 +61,7 @@ __all__ = [
     "RandomFunctionMockClient",
     "LiveChatClient",
     "make_mock_client",
+    "Memo",
     "run",
     "expand_transcripts",
     "extract_answer",
@@ -331,13 +333,42 @@ def _structuring_program(g: TKG) -> str:
     return "\n".join(lines)
 
 
-# The instances of a dataset share one graph object, so the oracle's reply to
-# structure_data (one line per fact) is built once per graph; as one string
-# object, it also hashes once as _restated's key.  lru_cache holds its graphs
-# strongly, hence the small size.
-@functools.lru_cache(maxsize=2)
 def _structure_fence(g: TKG) -> str:
     return _dsl_fence(_structuring_program(g))
+
+
+class Memo:
+    """The work keyed on data that the jobs of one eval share, each piece done once.
+
+    Jobs that get the same structuring reply (every mock run, whose instances
+    share one graph) share the graph it builds, which no solve program can
+    change: execute refuses a program that declares facts when it is given a
+    graph.  The oracle's structure_data reply is built once per graph, and as
+    one string object it hashes once as a key of the first kind.  Threads may
+    share a memo.
+    """
+
+    SIZE = 2  # entries kept of each kind, as each may hold a whole graph
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._restated: dict[str, TKG | str] = {}
+        self._fences: dict[TKG, str] = {}
+
+    def restated(self, reply: str) -> TKG | str:
+        """The graph a structuring reply's program builds, or why it builds none."""
+        return self._recall(self._restated, reply, _restate)
+
+    def structure_fence(self, g: TKG) -> str:
+        """The oracle's structure_data reply over ``g``."""
+        return self._recall(self._fences, g, _structure_fence)
+
+    def _recall(self, entries: dict, key, make):
+        with self._lock:  # the least recently used entry goes first
+            value = entries[key] = entries.pop(key) if key in entries else make(key)
+            if len(entries) > self.SIZE:
+                del entries[next(iter(entries))]
+            return value
 
 
 class OracleMockClient:
@@ -366,8 +397,9 @@ class OracleMockClient:
         "confidence": "_confidence_reply",
     }
 
-    def __init__(self, instance: TaskInstance | None):
+    def __init__(self, instance: TaskInstance | None, memo: Memo | None = None):
         self.instance = instance
+        self.memo = memo or Memo()
 
     def complete(self, messages, *, model="mock", temperature=0.0, max_tokens=0, step: str) -> str:
         return getattr(self, self.ROUTES[step])(messages[-1]["content"])
@@ -390,7 +422,7 @@ class OracleMockClient:
         return _json_fence({"score": 7})
 
     def _structure_reply(self, prompt: str) -> str:
-        return _structure_fence(self.instance.tkg)
+        return self.memo.structure_fence(self.instance.tkg)
 
     def _program_reply(self, prompt: str) -> str:
         return _dsl_fence(call_to_dsl(self.instance.canonical_call))
@@ -415,8 +447,8 @@ class RandomFunctionMockClient(OracleMockClient):
     """Like the oracle mock, but picks a uniformly random function when asked
     to select one.  Deterministic per (seed, instance id)."""
 
-    def __init__(self, instance: TaskInstance | None, seed: int = 0):
-        super().__init__(instance)
+    def __init__(self, instance: TaskInstance | None, seed: int = 0, memo: Memo | None = None):
+        super().__init__(instance, memo)
         self._rng = random.Random(subseed(seed, f"mock:{instance.id if instance else ''}"))
 
     def _select_reply(self, prompt: str) -> str:
@@ -537,12 +569,16 @@ class LiveChatClient:
         raise ClientError(f"request failed after {self.max_retries} attempts: {last_error}")
 
 
-def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int = 0):
-    """Build the per-run mock named by `kind`: 'oracle', 'random', or a script path (no instance for confidence)."""
+def make_mock_client(kind: str, instance: TaskInstance | None = None, seed: int = 0, memo: Memo | None = None):
+    """Build the per-run mock named by `kind`: 'oracle', 'random', or a script path (no instance for confidence).
+
+    The oracle and random mocks build their structure_data reply through
+    ``memo``, the one their jobs share, or a fresh one.
+    """
     if kind == "oracle":
-        return OracleMockClient(instance)
+        return OracleMockClient(instance, memo)
     if kind == "random":
-        return RandomFunctionMockClient(instance, seed)
+        return RandomFunctionMockClient(instance, seed, memo)
     return ScriptedMockClient.from_file(kind)
 
 
@@ -720,14 +756,16 @@ def select_function(reply: str) -> FunctionCall:
 class _Chain:
     """One conversation with call accounting: the only caller of ``client.complete``.
 
-    ``text`` is the instance's rendered text, which the recorded prompts leave out.
+    ``text`` is the instance's rendered text, which the recorded prompts leave
+    out, and ``memo`` the work the chain shares with other jobs.
     """
 
-    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult, text: str):
+    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult, text: str, memo: Memo | None = None):
         self.client = client
         self.cfg = cfg
         self.result = result
         self.text = text
+        self.memo = memo
         self.messages: list[dict] = []
 
     def ask(self, step: str, *, fresh: bool = False, **fields) -> str:
@@ -754,10 +792,15 @@ class _Chain:
         return reply
 
 
-@functools.lru_cache(maxsize=8)
+# every line break str.splitlines knows, "\r\n" as one
+_LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _excerpt(text: str) -> str:
-    """The first EXCERPT_FACTS lines of a rendered text, derived once per text."""
-    return "\n".join(text.splitlines()[:EXCERPT_FACTS])
+    """The first EXCERPT_FACTS lines of ``text`` as ``str.splitlines`` splits them, joined by
+    newlines; the text is read no further than the last of them."""
+    breaks = list(itertools.islice(_LINE_BREAK_RE.finditer(text), EXCERPT_FACTS))
+    return "\n".join(text[: breaks[-1].end() if len(breaks) == EXCERPT_FACTS else None].splitlines())
 
 
 def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> str:
@@ -878,12 +921,7 @@ def _extract_program(reply: str) -> Program:
         raise TkgqaError(f"tqdsl parse error: {exc}") from exc
 
 
-# The outcome of a structuring reply, keyed on its exact text: jobs that get
-# the same restatement (every mock run, whose instances share one graph) parse
-# and execute it once and share the graph, which no solve program can change:
-# execute refuses a program that declares facts when it is given a graph.
-@functools.lru_cache(maxsize=2)
-def _restated(reply: str) -> TKG | str:
+def _restate(reply: str) -> TKG | str:
     """The graph a structuring reply's program builds, or why it builds none."""
     try:
         return execute(_extract_program(reply)).graph
@@ -896,9 +934,9 @@ def _structure_graph(chain: _Chain) -> TKG:
 
     The graph is empty when structuring yields nothing usable, so a ``_s``
     technique never falls back to the gold graph.  A graph built from a reply
-    is shared with every later job whose reply is the same text.
+    is shared with every later job of the same memo whose reply is the same text.
     """
-    outcome = _restated(chain.ask("structure_data"))
+    outcome = chain.memo.restated(chain.ask("structure_data"))
     if isinstance(outcome, str):
         chain.result.errors.append(outcome)
         return TKG()
@@ -961,14 +999,20 @@ _TECHNIQUES = {
 TECHNIQUES = tuple(_TECHNIQUES)
 
 
-def run(instance: TaskInstance, technique: str, client, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """Execute one technique on one instance and return its full result."""
+def run(
+    instance: TaskInstance, technique: str, client, cfg: PipelineConfig | None = None, memo: Memo | None = None
+) -> PipelineResult:
+    """Execute one technique on one instance and return its full result.
+
+    Jobs given one ``memo`` (as are their mocks, see :func:`make_mock_client`)
+    share a structuring reply's graph; without one, the job works alone.
+    """
     if technique not in _TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
     runner, full_text = _TECHNIQUES[technique]
     cfg = cfg or PipelineConfig()
     result = PipelineResult(technique=technique, instance_id=instance.id)
-    chain = _Chain(client, cfg, result, instance.tkg_text)
+    chain = _Chain(client, cfg, result, instance.tkg_text, memo or Memo())
     started = time.perf_counter()
     try:
         statement = _statement(instance, full_text, cfg.prompts_dir)

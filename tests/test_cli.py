@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import random
 import re
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -209,11 +211,11 @@ class TestEval:
         real_run = tkgqa.cli.run
         finished = []
 
-        def run_six(inst, technique, client, cfg):
+        def run_six(inst, technique, client, cfg, **kwargs):
             if len(finished) == 6:
                 raise error
             finished.append(inst.id)
-            return real_run(inst, technique, client, cfg)
+            return real_run(inst, technique, client, cfg, **kwargs)
 
         monkeypatch.setattr(tkgqa.cli, "run", run_six)
         argv += ["--transcripts", "partial.jsonl", "--rows", "rows.jsonl"]
@@ -265,11 +267,9 @@ class TestEval:
         sys.setswitchinterval(1e-5)
         try:
             for name, workers in (("serial", "1"), ("pooled", "4")):
-                tkgqa.pipelines._restated.cache_clear()  # each run builds the shared graph afresh
                 assert run_cli(*argv, "--parallelism", workers, "--transcripts", f"{name}.jsonl", "--rows", f"{name}-rows.jsonl") == 0
         finally:
             sys.setswitchinterval(switch_interval)
-            tkgqa.pipelines._restated.cache_clear()
         assert (workspace / "pooled.jsonl").read_text() == (workspace / "serial.jsonl").read_text()
         rows = {name: [{**json.loads(line), "wall_time": 0} for line in (workspace / f"{name}-rows.jsonl").read_text().splitlines()] for name in ("serial", "pooled")}
         assert rows["pooled"] == rows["serial"]
@@ -277,6 +277,50 @@ class TestEval:
         assert len(records) == 2 * 17
         assert not any(e.startswith("structuring failed") for record in records for e in record["errors"])
         assert {r["raw_answer"] for r in records if r["technique"] == "cote_s"} == {sum(x.o == f.o for x in g.facts)}
+
+    def test_each_eval_restates_once(self, workspace, monkeypatch):
+        """Two evals in one process each parse the restatement and build the
+        oracle's structuring reply once, for all their jobs."""
+        dataset = gen_dataset(workspace, gen_graph(workspace, facts=2000), per_type=1)
+        parses, programs = [], []
+        real_parse, real_program = tkgqa.pipelines.parse, tkgqa.pipelines._structuring_program
+
+        def counting_parse(source):
+            if source.startswith("fact("):
+                parses.append(source)
+            return real_parse(source)
+
+        monkeypatch.setattr(tkgqa.pipelines, "parse", counting_parse)
+        monkeypatch.setattr(tkgqa.pipelines, "_structuring_program", lambda g: programs.append(g) or real_program(g))
+        for _ in range(2):
+            del parses[:], programs[:]
+            assert run_cli(
+                "eval", "--dataset", str(dataset), "--technique", "cote_s,cotapi_s", "--mock", "oracle",
+                "--rows", "rows.jsonl", "--report", "r.txt",
+            ) == 0
+            assert (len(parses), len(programs)) == (1, 1)
+            rows = [json.loads(line) for line in (workspace / "rows.jsonl").read_text().splitlines()]
+            assert len(rows) == 2 * 17 and all(row["correct"] for row in rows)
+
+    def test_memo_freed_when_eval_returns(self, workspace, monkeypatch):
+        """Reference counting alone frees an eval's memo on return: it is in no reference cycle."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        memos = []
+
+        class WatchedMemo(tkgqa.pipelines.Memo):
+            def __init__(self):
+                super().__init__()
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(tkgqa.cli, "Memo", WatchedMemo)
+        gc.disable()
+        try:
+            assert run_cli(
+                "eval", "--dataset", str(dataset), "--technique", "cote_s", "--mock", "oracle", "--report", "r.txt",
+            ) == 0
+            assert len(memos) == 1 and memos[0]() is None
+        finally:
+            gc.enable()
 
     def test_random_mock_on_empty_graphs(self, workspace):
         """With no fact to borrow arguments from, every job ends in a recorded failure."""

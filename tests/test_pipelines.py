@@ -4,6 +4,8 @@ import gc
 import json
 import logging
 import re
+import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -347,19 +349,26 @@ class TestExcerpt:
         expected = pipelines._statement(dataclasses.replace(inst, tkg_text=excerpt), True, None)
         assert pipelines._statement(inst, False, None) == expected
 
-    def test_derived_once_per_text(self, instances):
-        splits = []
+    def test_reads_no_further_than_its_last_line(self):
+        # splitting the whole text into its 200,005 lines would allocate megabytes
+        head = "\n".join(f"fact line {i}" for i in range(pipelines.EXCERPT_FACTS))
+        text = head + "\r\n" + "x\n" * 200_000
+        tracemalloc.start()
+        try:
+            excerpt = pipelines._excerpt(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excerpt == head
+        assert peak < 64_000
 
-        class Text(str):
-            def splitlines(self, *args):
-                splits.append(self)
-                return super().splitlines(*args)
-
-        pipelines._excerpt.cache_clear()
-        text = Text("\n".join(f"fact line {i}" for i in range(20)))
-        inst = dataclasses.replace(instances[0], tkg_text=text)
-        statements = {pipelines._statement(inst, False, None) for _ in range(6)}
-        assert len(statements) == 1 and len(splits) == 1
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "a", "a\n", "a\r\nb\r", "a\n\nb\n\n\nc\nd", "\n" * 6, "\r\r\n\n\r"]
+        + [brk.join("abcdefg") for brk in ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")],
+    )
+    def test_equals_the_splitlines_form_of(self, text):
+        assert pipelines._excerpt(text) == "\n".join(text.splitlines()[: pipelines.EXCERPT_FACTS])
 
 
 class TestCote:
@@ -452,7 +461,7 @@ class TestRestatementMemo:
 
     @pytest.fixture
     def structuring_parses(self, monkeypatch):
-        """The sources of the structuring programs parsed, from an empty memo on."""
+        """The sources of the structuring programs parsed."""
         sources = []
         real_parse = pipelines.parse
 
@@ -462,13 +471,16 @@ class TestRestatementMemo:
             return real_parse(source)
 
         monkeypatch.setattr(pipelines, "parse", counting_parse)
-        pipelines._restated.cache_clear()
-        yield sources
-        pipelines._restated.cache_clear()
+        return sources
 
     def run_jobs(self, instances, structure_replies):
+        """One cote_s job per reply, all sharing one memo."""
         inst = by_type(instances, "calculate_total_relation_time")
-        return [run(inst, "cote_s", ScriptedMockClient(["analysis", reply, self.SOLVE])) for reply in structure_replies]
+        memo = pipelines.Memo()
+        return [
+            run(inst, "cote_s", ScriptedMockClient(["analysis", reply, self.SOLVE]), memo=memo)
+            for reply in structure_replies
+        ]
 
     @pytest.mark.parametrize(
         "reply, error",
@@ -492,6 +504,34 @@ class TestRestatementMemo:
             assert result.errors[0] == f"structuring failed: {error}"
             assert result.raw_answer == 0  # the solve program ran on an empty graph
         assert len(structuring_parses) == (1 if reply.startswith("```") else 0)
+
+    def test_threads_share_one_memo(self, structuring_parses):
+        """Threads racing for the same replies get one graph per reply, parsed once."""
+        facts = "\n".join(f"fact(E1, R1, E{i}, 2000, 2010)" for i in range(300))
+        replies = [f"```tqdsl\n{facts}\nfacts(*, *, *) |> {stage}\n```" for stage in ("count", "sort(start, asc)")]
+        memo = pipelines.Memo()
+        got = [[] for _ in range(8)]
+        start = threading.Barrier(len(got))
+
+        def work(mine):
+            start.wait()
+            for i in range(200):
+                mine.append(memo.restated(replies[i % 2]))
+
+        threads = [threading.Thread(target=work, args=(mine,)) for mine in got]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(mine) for mine in got] == [200] * 8
+        assert len(structuring_parses) == 2
+        assert len({id(g) for mine in got for g in mine[0::2]}) == len({id(g) for mine in got for g in mine[1::2]}) == 1
 
     def test_replies_differing_by_one_fact_build_different_graphs(self, instances, structuring_parses):
         one = "fact(E1, R1, E2, 2000, 2010)"
@@ -597,9 +637,11 @@ class TestStructuringWork:
 
     @staticmethod
     def run_all(instances):
+        """Every job of both techniques, sharing one memo as an eval's jobs do."""
+        memo = pipelines.Memo()
         for technique in ("cote_s", "cotapi_s"):
             for inst in instances:
-                result = run(inst, technique, OracleMockClient(inst))
+                result = run(inst, technique, OracleMockClient(inst, memo), memo=memo)
                 assert score(result, inst.gold, inst.question_type), (technique, inst.id)
 
     def test_each_piece_of_work_done_once(self, instances_2k, monkeypatch):
@@ -611,13 +653,7 @@ class TestStructuringWork:
         monkeypatch.setattr(pipelines, "_structuring_program", lambda g: programs.append(g) or real_program(g))
         monkeypatch.setattr(graph_module, "_check_fact", lambda i, raw: checks.append(i) or real_check(i, raw))
         monkeypatch.setattr(TKG, "_build_index", lambda g, field: builds.append((g, field)) or real_build(g, field))
-        pipelines._structure_fence.cache_clear()
-        pipelines._restated.cache_clear()
-        try:
-            self.run_all(instances_2k)
-        finally:
-            pipelines._structure_fence.cache_clear()
-            pipelines._restated.cache_clear()
+        self.run_all(instances_2k)
         n_facts = len(instances_2k[0].tkg)
         assert programs == [instances_2k[0].tkg]
         assert checks == list(range(n_facts))  # one check per declaration, one structuring for all jobs
