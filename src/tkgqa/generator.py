@@ -125,8 +125,9 @@ def generate_graph(params: GraphParams) -> TKG:
             anchor = rng.choice(entities)
             anchor_is_object = rng.random() < 0.5
             i = position[anchor]
-            others = entities[:i] + entities[i + 1:]  # every entity but the anchor, in order
-            members = rng.sample(others, k=min(len(others), rng.randint(2, 4)))
+            k = min(len(entities) - 1, rng.randint(2, 4))
+            # the draws of rng.sample(entities without the anchor, k), without copying the list
+            members = [entities[j + (j >= i)] for j in rng.sample(range(len(entities) - 1), k)]
             t = rng.randint(lo, hi - 1)
             for member in members:
                 if len(facts) >= params.n_facts or t >= hi:
@@ -152,6 +153,7 @@ def generate_graph(params: GraphParams) -> TKG:
         raise InfeasibleParamsError(
             f"could not place {params.n_facts} distinct facts (got {len(facts)})"
         )
+    seen.clear()  # TKG keeps its own set while it checks the facts again
     return TKG(facts)
 
 
@@ -654,10 +656,14 @@ class TaskInstance:
     gold: Answer
     canonical_call: FunctionCall
     tkg: TKG
-    tkg_text: str  # render_text(tkg, seed=render_seed); in memory only
     render_seed: int
     tkg_ref: str | None = None  # relative path used on export; inline facts if None
     template_index: int | None = None  # in-memory only, for distribution checks
+
+    @property
+    def tkg_text(self) -> str:
+        """``render_text(tkg, seed=render_seed)``, rendered on first use and kept by the graph for its instances."""
+        return self.tkg.rendered(self.render_seed, render_text)
 
     @property
     def token_estimate(self) -> int:
@@ -723,7 +729,6 @@ def generate_instances(
     if unknown:
         raise ValueError(f"unknown question types: {sorted(unknown)}")
     render_seed = subseed(seed, "render")
-    tkg_text = render_text(g, seed=render_seed)
 
     instances = []
     for qtype in requested:
@@ -758,7 +763,6 @@ def generate_instances(
                     gold=gold,
                     canonical_call=call,
                     tkg=g,
-                    tkg_text=tkg_text,
                     render_seed=render_seed,
                     tkg_ref=tkg_ref,
                     template_index=tpl_index,
@@ -784,13 +788,13 @@ def verify_instance(instance: TaskInstance) -> bool:
 
 
 def export_instances(instances: Iterable[TaskInstance], sink: str | Path | IO[str]) -> None:
-    write_jsonl([json.dumps(inst.to_json(), sort_keys=True) for inst in instances], sink)
+    write_jsonl((json.dumps(inst.to_json(), sort_keys=True) for inst in instances), sink)
 
 
 _DATASET_KEYS = {"id", "type", "question", "answer_type", "gold", "canonical_call", "tkg", "render_seed"}
 
 
-def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at, text_at) -> TaskInstance:
+def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at) -> TaskInstance:
     missing = _DATASET_KEYS - set(obj)
     if missing:
         hint = "; a dataset without render_seed must be regenerated with gen-dataset" if "render_seed" in missing else ""
@@ -802,14 +806,12 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at, text_
     tkg_ref: str | None = None
     if isinstance(tkg_field, str):
         tkg_ref = tkg_field
-        path = (base_dir / tkg_field).resolve()
-        graph, tkg_text = graph_at(path), text_at(path, seed)
+        graph = graph_at((base_dir / tkg_field).resolve())
     elif isinstance(tkg_field, list):
         try:
             graph = TKG(tkg_field)
         except TkgqaError as exc:
             raise ParseError(line_no, f"bad inline tkg: {exc}") from exc
-        tkg_text = render_text(graph, seed=seed)
     else:
         raise ParseError(line_no, "tkg must be a path string or an inline fact array")
     try:
@@ -825,7 +827,6 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at, text_
         gold=gold,
         canonical_call=call,
         tkg=graph,
-        tkg_text=tkg_text,
         render_seed=seed,
         tkg_ref=tkg_ref,
     )
@@ -834,11 +835,10 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at, text_
 def import_instances(source: str | Path, base_dir: str | Path | None = None) -> list[TaskInstance]:
     """Load a dataset file; graph paths resolve relative to the file (or base_dir).
 
-    Each graph file is loaded once and rendered once per render seed; its
-    instances share that one text.
+    Each graph file is loaded once, and its instances share that graph, so
+    they share its text too, rendered when it is first read.
     """
     path = Path(source)
     base = Path(base_dir) if base_dir is not None else path.parent
     graph_at = functools.cache(load_tkg)
-    text_at = functools.cache(lambda graph_path, seed: render_text(graph_at(graph_path), seed=seed))
-    return [_instance_from_json(line_no, obj, base, graph_at, text_at) for line_no, obj in read_jsonl(path)]
+    return [_instance_from_json(line_no, obj, base, graph_at) for line_no, obj in read_jsonl(path)]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import random
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 
@@ -69,24 +70,30 @@ class Fact(NamedTuple):
         return self.t1 - self.t0
 
 
-def _check_fact(index: int, raw) -> Fact:
+def _check_fact(index: int, raw, shared: dict) -> Fact:
     """``raw`` as a :class:`Fact`, or the error for its first invalid field.
 
     The one validation of fact fields: ``s``, ``r`` and ``o`` are non-empty
-    strings, ``t0`` and ``t1`` are integers (not booleans) with t0 <= t1.
+    strings, ``t0`` and ``t1`` are integers (not booleans) with t0 <= t1.  A
+    :class:`Fact` is kept as given; a fact given as a sequence is built from
+    ``shared``'s object for each value, so a graph read from a file holds one
+    object per distinct name and year.  The lookup comes after the type checks:
+    ``True``, ``1`` and ``1.0`` are equal keys, and a list is no key at all.
     """
     try:
-        f = raw if isinstance(raw, Fact) else Fact(*raw)
-    except TypeError:
+        s, r, o, t0, t1 = raw
+    except (TypeError, ValueError):
         raise InvalidFactError(index, f"expected the five fields (s, r, o, t0, t1), got {raw!r}") from None
-    s, r, o, t0, t1 = f
     if not (isinstance(s, str) and isinstance(r, str) and isinstance(o, str) and s and r and o):
         raise InvalidFactError(index, f"s, r and o must be non-empty strings, got {(s, r, o)!r}")
     if type(t0) is not int or type(t1) is not int:  # bool is an int subclass
         raise InvalidFactError(index, f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
     if t0 > t1:
         raise InvalidIntervalError(index=index, t0=t0, t1=t1)
-    return f
+    if isinstance(raw, Fact):
+        return raw
+    share = shared.setdefault
+    return Fact(share(s, s), share(r, r), share(o, o), share(t0, t0), share(t1, t1))
 
 
 _INDEX_SLOTS = ("_by_s", "_by_r", "_by_o")  # TKG's index attribute by field number
@@ -99,18 +106,20 @@ class TKG:
     construction; insertion order is the canonical iteration order.  The
     per-field indexes are built on first use: a graph restated by a model is
     queried by one short program, which needs only the indexes of the fields
-    it binds.  Two threads that race to build the same index each build an
-    equal one, and the attribute store is atomic, so a graph stays safe to
-    share across threads.
+    it binds.  Its rendered texts are kept the same way, one per seed.  Two
+    threads that race to build the same index or text each build an equal
+    one, and the store is atomic, so a graph stays safe to share across
+    threads.
     """
 
-    __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o", "_hash")
+    __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o", "_hash", "_texts")
 
     def __init__(self, facts: Iterable[Fact | tuple] = ()):
         clean: list[Fact] = []
         seen: set[Fact] = set()
+        shared: dict = {}  # each name and year of a fact given as a sequence, once
         for i, raw in enumerate(facts):
-            f = _check_fact(i, raw)
+            f = _check_fact(i, raw, shared)
             if f in seen:
                 raise DuplicateFactError(index=i, fact=f)
             seen.add(f)
@@ -122,6 +131,7 @@ class TKG:
         self._by_r: dict[str, list[Fact]] | None = None
         self._by_o: dict[str, list[Fact]] | None = None
         self._hash: int | None = None
+        self._texts: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -154,6 +164,13 @@ class TKG:
                 index[key] = [f]
         setattr(self, _INDEX_SLOTS[field], index)
         return index
+
+    def rendered(self, seed: int, render: Callable[..., str]) -> str:
+        """``render(self, seed=seed)``, called on the first request for ``seed`` and kept for the later ones."""
+        text = self._texts.get(seed)
+        if text is None:
+            text = self._texts[seed] = render(self, seed=seed)
+        return text
 
     def query(self, s: str | None = None, r: str | None = None, o: str | None = None) -> list[Fact]:
         """Facts matching every bound field, in insertion order.
@@ -206,13 +223,13 @@ def read_jsonl(source: str | Path | IO[str]) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
-def write_jsonl(lines: list[str], sink: str | Path | IO[str]) -> None:
-    """Write already-encoded lines, each followed by a newline."""
-    payload = "\n".join(lines) + ("\n" if lines else "")
+def write_jsonl(lines: Iterable[str], sink: str | Path | IO[str]) -> None:
+    """Write already-encoded lines as they come, each followed by a newline."""
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
-    else:
-        sink.write(payload)
+        with open(sink, "w", encoding="utf-8") as out:
+            write_jsonl(lines, out)
+        return
+    sink.writelines(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +239,17 @@ _FACT_KEYS = {"s", "r", "o", "t0", "t1"}
 
 
 def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
-    """Write one JSON object per fact, preserving order."""
-    write_jsonl([json.dumps({"s": f.s, "r": f.r, "o": f.o, "t0": f.t0, "t1": f.t1}) for f in g.facts], sink)
+    """Write one JSON object per fact, preserving order.
+
+    Each line is the bytes of ``json.dumps({"s": ..., "r": ..., "o": ..., "t0": ..., "t1": ...})``,
+    encoded field by field and written as it is made.
+    """
+    quote = encode_basestring_ascii
+    lines = (
+        f'{{"s": {quote(s)}, "r": {quote(r)}, "o": {quote(o)}, "t0": {t0}, "t1": {t1}}}'
+        for s, r, o, t0, t1 in g.facts
+    )
+    write_jsonl(lines, sink)
 
 
 def load_tkg(source: str | Path | IO[str]) -> TKG:
@@ -233,12 +259,12 @@ def load_tkg(source: str | Path | IO[str]) -> TKG:
     """
     line_no = 0
 
-    def facts() -> Iterator[Fact]:
+    def facts() -> Iterator[tuple]:
         nonlocal line_no
         for line_no, obj in read_jsonl(source):
             if obj.keys() != _FACT_KEYS:
                 raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
-            yield Fact(**obj)
+            yield obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]
 
     # TKG checks each fact as it is read, so line_no is the line of a rejected fact
     try:

@@ -123,7 +123,7 @@ def make_row(instance, result: PipelineResult, correct: bool) -> ScoredRow:
 
 
 def save_rows(rows: Iterable[ScoredRow], sink: str | Path | IO[str]) -> None:
-    write_jsonl([json.dumps(r.to_json(), sort_keys=True) for r in rows], sink)
+    write_jsonl((json.dumps(r.to_json(), sort_keys=True) for r in rows), sink)
 
 
 def load_rows(source: str | Path) -> list[ScoredRow]:

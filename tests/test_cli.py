@@ -64,14 +64,18 @@ class TestGenGraph:
         assert err.value.code == 2
 
     def test_never_renders_text(self, workspace, monkeypatch, capsys):
+        """Only eval reads the rendered text: gen-graph, gen-dataset and verify render nothing."""
         def no_render(*args, **kwargs):
-            raise AssertionError("gen-graph rendered the graph")
+            raise AssertionError("the graph was rendered")
 
         for module in (tkgqa.cli, tkgqa.generator, tkgqa.graph):
             monkeypatch.setattr(module, "render_text", no_render)
         path = gen_graph(workspace, facts=77)
         line = capsys.readouterr().out.strip()
         assert re.fullmatch(rf"entities=\d+ relations=8 facts=77 out={re.escape(str(path))}", line)
+        dataset = gen_dataset(workspace, path, per_type=1)
+        assert run_cli("verify", "--dataset", str(dataset)) == 0
+        assert "verified 17/17" in capsys.readouterr().out
 
 
 class TestGenDataset:
@@ -301,6 +305,21 @@ class TestEval:
             assert (len(parses), len(programs)) == (1, 1)
             rows = [json.loads(line) for line in (workspace / "rows.jsonl").read_text().splitlines()]
             assert len(rows) == 2 * 17 and all(row["correct"] for row in rows)
+
+    def test_renders_each_graph_once_before_the_first_job(self, workspace, monkeypatch):
+        """No job's wall_time includes the render: eval renders before it runs any job."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        renders, renders_at_run = [], []
+        real_render, real_run = tkgqa.generator.render_text, tkgqa.cli.run
+
+        def recording_run(inst, technique, client, cfg, **kwargs):
+            renders_at_run.append(len(renders))
+            return real_run(inst, technique, client, cfg, **kwargs)
+
+        monkeypatch.setattr(tkgqa.generator, "render_text", lambda g, **kw: renders.append(g) or real_render(g, **kw))
+        monkeypatch.setattr(tkgqa.cli, "run", recording_run)
+        assert run_cli("eval", "--dataset", str(dataset), "--technique", "direct,cot", "--mock", "oracle") == 0
+        assert len(renders) == 1 and renders_at_run == [1] * 2 * 17
 
     def test_memo_freed_when_eval_returns(self, workspace, monkeypatch):
         """Reference counting alone frees an eval's memo on return: it is in no reference cycle."""

@@ -260,8 +260,10 @@ class TestDatasetFiles:
 
         monkeypatch.setattr(tkgqa.generator, "render_text", counting_render)
         loaded = import_instances(path)
-        assert len(loaded) == 34 and len(calls) == 1
-        assert all(inst.tkg_text is loaded[0].tkg_text for inst in loaded)
+        assert len(loaded) == 34 and calls == []  # rendered when first read, not at load
+        texts = [inst.tkg_text for inst in loaded]
+        assert len(calls) == 1
+        assert all(text is texts[0] for text in texts)
 
     @pytest.mark.parametrize("seed", ["missing", "7", 7.0, True, None, [7]])
     def test_bad_render_seed_is_a_line_error(self, tmp_path, seed):

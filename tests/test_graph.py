@@ -3,11 +3,13 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tkgqa.errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
+from tkgqa.generator import GraphParams, generate_graph
 from tkgqa.graph import (
     DEFAULT_FACT_TEMPLATES,
     Fact,
@@ -267,6 +269,96 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_tkg(io.StringIO(good + "\n\n" + bad + "\n"))
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "good, bad",
+        [
+            # each bad value equals, or cannot even be compared with, a good value read before it
+            ('"t0":1,"t1":5', '"t0":true,"t1":5'),
+            ('"t0":2000,"t1":2005', '"t0":2000.0,"t1":2005'),
+            ('"t0":2000,"t1":2005', '"t0":2000,"t1":2005.0'),
+        ],
+    )
+    def test_a_value_equal_to_a_good_one_is_still_checked(self, good, bad):
+        lines = [f'{{"s":"E1","r":"R1","o":"E2",{good}}}', f'{{"s":"E1","r":"R1","o":"E3",{bad}}}']
+        with pytest.raises(ParseError) as err:
+            load_tkg(io.StringIO("\n".join(lines) + "\n"))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ['["E1"]', '{"E1":1}', "[]", "{}"])
+    def test_unhashable_name_reports_file_line(self, value):
+        lines = ['{"s":"E1","r":"R1","o":"E2","t0":2000,"t1":2005}',
+                 f'{{"s":{value},"r":"R1","o":"E2","t0":2000,"t1":2005}}']
+        with pytest.raises(ParseError) as err:
+            load_tkg(io.StringIO("\n".join(lines) + "\n"))
+        assert err.value.line == 2
+
+    def test_loaded_graph_holds_one_object_per_distinct_value(self):
+        buf = io.StringIO()
+        save_tkg(random_graph(3, n_facts=60), buf)
+        g = load_tkg(io.StringIO(buf.getvalue()))
+        values = [value for f in g.facts for value in f]
+        assert len({id(value) for value in values}) == len(set(values)) < len(values)
+
+    @given(
+        facts=st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=()), min_size=1)
+                | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"]),
+                st.text(min_size=1),
+                st.text(min_size=1),
+                st.integers(-(10**20), 10**20),
+                st.integers(0, 10**6),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lines_are_json_dumps_of_the_fact(self, facts):
+        g = TKG({(s, r, o, t0, t0 + span): None for s, r, o, t0, span in facts})
+        buf = io.StringIO()
+        save_tkg(g, buf)
+        expected = "".join(
+            json.dumps({"s": f.s, "r": f.r, "o": f.o, "t0": f.t0, "t1": f.t1}) + "\n" for f in g.facts
+        )
+        assert buf.getvalue() == expected
+        assert load_tkg(io.StringIO(buf.getvalue())) == g
+
+
+class TestMemory:
+    """tracemalloc's count of what a 20,000-fact graph costs to load and to save."""
+
+    N_FACTS = 20_000
+
+    @pytest.fixture(scope="class")
+    def fact_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "g.jsonl"
+        params = GraphParams(seed=7, n_entities=1000, n_relations=20, n_facts=self.N_FACTS)
+        save_tkg(generate_graph(params), path)
+        return path
+
+    def test_loaded_graph_keeps_under_150_bytes_per_fact(self, fact_file):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = load_tkg(fact_file)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(g) == self.N_FACTS
+        assert kept / len(g) < 150, kept / len(g)
+
+    def test_save_peak_does_not_grow_with_the_graph(self, fact_file, tmp_path):
+        g = load_tkg(fact_file)
+        out = tmp_path / "again.jsonl"
+        tracemalloc.start()
+        try:
+            save_tkg(g, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == fact_file.read_bytes()
+        assert peak < 256 * 1024, peak
 
 
 class TestRenderText:

@@ -344,10 +344,11 @@ class TestExcerpt:
         text = render_text(TKG(facts), seed=1)
         excerpt = "\n".join(text.splitlines()[: pipelines.EXCERPT_FACTS])
         assert excerpt != "\n".join(text.split("\n")[: pipelines.EXCERPT_FACTS])
-        inst = dataclasses.replace(instances[0], tkg_text=text)
-        # the excerpt statement is the full-text statement of an instance whose text is the excerpt
-        expected = pipelines._statement(dataclasses.replace(inst, tkg_text=excerpt), True, None)
-        assert pipelines._statement(inst, False, None) == expected
+        inst = dataclasses.replace(instances[0], tkg=TKG(facts), render_seed=1)
+        full = pipelines._statement(inst, True, None)
+        assert inst.tkg_text == text and text in full
+        # the excerpt statement is the full-text statement with the excerpt in place of the text
+        assert pipelines._statement(inst, False, None) == full.replace(text, excerpt)
 
     def test_reads_no_further_than_its_last_line(self):
         # splitting the whole text into its 200,005 lines would allocate megabytes
@@ -651,7 +652,9 @@ class TestStructuringWork:
             pipelines._structuring_program, graph_module._check_fact, TKG._build_index
         )
         monkeypatch.setattr(pipelines, "_structuring_program", lambda g: programs.append(g) or real_program(g))
-        monkeypatch.setattr(graph_module, "_check_fact", lambda i, raw: checks.append(i) or real_check(i, raw))
+        monkeypatch.setattr(
+            graph_module, "_check_fact", lambda i, raw, shared: checks.append(i) or real_check(i, raw, shared)
+        )
         monkeypatch.setattr(TKG, "_build_index", lambda g, field: builds.append((g, field)) or real_build(g, field))
         self.run_all(instances_2k)
         n_facts = len(instances_2k[0].tkg)
@@ -672,7 +675,7 @@ class TestStructuringWork:
 class TestRandomMockOnEmptyGraph:
     def test_failures_are_recorded(self, instances):
         for inst in instances:
-            empty = dataclasses.replace(inst, tkg=TKG(), tkg_text="")
+            empty = dataclasses.replace(inst, tkg=TKG())
             for technique in ("cotapi", "cotapi_s"):
                 result = run(empty, technique, RandomFunctionMockClient(empty, seed=1))
                 assert any(
@@ -758,7 +761,7 @@ class TestTranscriptRecord:
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_empty_text(self, default_instances, technique):
         base = by_type(default_instances, "timeline")
-        inst = dataclasses.replace(base, tkg=TKG(), tkg_text=render_text(TKG(), seed=base.render_seed))
+        inst = dataclasses.replace(base, tkg=TKG())
         assert inst.tkg_text == ""
         client = RecordingClient(OracleMockClient(inst))
         result = run(inst, technique, client)
