@@ -179,11 +179,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if unknown:
         print(f"error: unknown techniques {sorted(unknown)}", file=sys.stderr)
         return 2
-    # render each graph's text now, once per graph and seed, so that no job's wall_time includes it
+    # render each graph's text now, once per graph and seed, then build its
+    # indexes, so that no job's wall_time includes either; the indexes come
+    # after the render so that they are not held beneath the render's peak
     for inst in instances:
         inst.tkg_text
-    # the loaded graphs, instances and texts live for the whole run; keep the
-    # cyclic collector from re-walking them while jobs allocate
+    for inst in instances:
+        inst.tkg.build_indexes()
+    # the loaded graphs with their indexes, the instances and the texts live for
+    # the whole run; keep the cyclic collector from re-walking them while jobs allocate
     gc.freeze()
     model = _setting(args.model, config, "model") or "mock"
     cfg = PipelineConfig(

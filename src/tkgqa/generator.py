@@ -106,6 +106,7 @@ def generate_graph(params: GraphParams) -> TKG:
 
     facts: list[Fact] = []
     seen: set[Fact] = set()
+    year = {}.setdefault  # one int object per year, shared by the facts as in a loaded graph
 
     def emit(f: Fact) -> bool:
         if f in seen or f.t0 > f.t1 or f.t0 < lo or f.t1 > hi:
@@ -135,7 +136,7 @@ def generate_graph(params: GraphParams) -> TKG:
                 duration = rng.randint(1, 12)
                 t1 = min(t + duration, hi)
                 pair = (member, r, anchor) if anchor_is_object else (anchor, r, member)
-                emit(Fact(pair[0], pair[1], pair[2], t, t1))
+                emit(Fact(pair[0], pair[1], pair[2], year(t, t), year(t1, t1)))
                 t = t1 + rng.randint(0, 3)  # gap 0 keeps some touching episodes
         else:
             s, o = rng.sample(entities, 2)
@@ -146,7 +147,7 @@ def generate_graph(params: GraphParams) -> TKG:
                     break
                 duration = rng.randint(0, 15)
                 t1 = min(t + duration, hi)
-                emit(Fact(s, r, o, t, t1))
+                emit(Fact(s, r, o, year(t, t), year(t1, t1)))
                 t = t1 + rng.randint(1, 8)
         stagnant = stagnant + 1 if len(facts) == placed_before else 0
     if len(facts) < params.n_facts:

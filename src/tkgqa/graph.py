@@ -5,8 +5,8 @@ A fact is a quintuple (s, r, o, t0, t1): subject entity ``s`` holds relation
 ``[t0, t1]`` (years by default).  A graph derives its entity and relation
 vocabularies from its facts, keeps facts in insertion order, and serves
 wildcard pattern queries from per-field hash indexes, each built by the first
-query that binds its field.  Graphs are immutable after construction and safe
-to share across threads.
+query that binds its field or ahead of time by :meth:`TKG.build_indexes`.
+Graphs are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -165,6 +165,12 @@ class TKG:
         setattr(self, _INDEX_SLOTS[field], index)
         return index
 
+    def build_indexes(self) -> None:
+        """Build each per-field index that no query has built yet."""
+        for field, slot in enumerate(_INDEX_SLOTS):
+            if getattr(self, slot) is None:
+                self._build_index(field)
+
     def rendered(self, seed: int, render: Callable[..., str]) -> str:
         """``render(self, seed=seed)``, called on the first request for ``seed`` and kept for the later ones."""
         text = self._texts.get(seed)
@@ -286,6 +292,9 @@ DEFAULT_FACT_TEMPLATES = (
 )
 
 
+_RENDER_BLOCK = 4096  # sentences joined into one string before the blocks are joined
+
+
 def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> str:
     """Render one sentence per fact; template choice is seed-deterministic.
 
@@ -295,9 +304,15 @@ def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0
     templates = tuple(template_set) if template_set is not None else DEFAULT_FACT_TEMPLATES
     if not templates:
         raise ValueError("template_set must be non-empty")
-    rng = random.Random(seed)
-    sentences = [
-        rng.choice(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1)
-        for f in g.facts
+    choose = random.Random(seed).choice
+    facts = g.facts
+    # one draw per fact in fact order, as over one list of every sentence; but
+    # only one block's sentences are alive at a time beside the joined blocks
+    blocks = [
+        "\n".join([
+            choose(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1)
+            for f in facts[start:start + _RENDER_BLOCK]
+        ])
+        for start in range(0, len(facts), _RENDER_BLOCK)
     ]
-    return "\n".join(sentences)
+    return "\n".join(blocks)

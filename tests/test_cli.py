@@ -321,6 +321,35 @@ class TestEval:
         assert run_cli("eval", "--dataset", str(dataset), "--technique", "direct,cot", "--mock", "oracle") == 0
         assert len(renders) == 1 and renders_at_run == [1] * 2 * 17
 
+    def test_builds_each_loaded_graphs_indexes_before_the_first_job(self, workspace, monkeypatch):
+        """No job's wall_time includes a loaded graph's index build; a restated graph still builds its own in a job."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        # (graph, field, jobs started so far) per build and (graph, technique) per job; both keep the graphs alive
+        builds, runs = [], []
+        real_build, real_run = tkgqa.graph.TKG._build_index, tkgqa.cli.run
+
+        def recording_build(g, field):
+            builds.append((g, field, len(runs)))
+            return real_build(g, field)
+
+        def recording_run(inst, technique, client, cfg, **kwargs):
+            runs.append((inst.tkg, technique))
+            return real_run(inst, technique, client, cfg, **kwargs)
+
+        monkeypatch.setattr(tkgqa.graph.TKG, "_build_index", recording_build)
+        monkeypatch.setattr(tkgqa.cli, "run", recording_run)
+        assert run_cli("eval", "--dataset", str(dataset), "--technique", "cote,cote_s", "--mock", "oracle") == 0
+        loaded = {id(g) for g, _ in runs}
+        assert len(loaded) == 1 and len(runs) == 2 * 17
+        before = sorted((id(g), field) for g, field, started in builds if started == 0)
+        assert before == [(*loaded, 0), (*loaded, 1), (*loaded, 2)]
+        in_jobs = [(g, field, started) for g, field, started in builds if started > 0]
+        assert in_jobs and not any(id(g) in loaded for g, _, _ in in_jobs)
+        # the restated graph is first queried by the first cote_s job, which gets the reply
+        first_structuring = 1 + [technique for _, technique in runs].index("cote_s")
+        assert min(started for _, _, started in in_jobs) == first_structuring
+        assert len({(id(g), field) for g, field, _ in in_jobs}) == len(in_jobs)
+
     def test_memo_freed_when_eval_returns(self, workspace, monkeypatch):
         """Reference counting alone frees an eval's memo on return: it is in no reference cycle."""
         dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)

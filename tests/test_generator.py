@@ -55,6 +55,11 @@ class TestGraphGeneration:
             assert re.fullmatch(r"R[1-3]", f.r)
             assert 1990 <= f.t0 <= f.t1 <= 2030
 
+    def test_generated_graph_holds_one_object_per_distinct_value(self):
+        g = generate_graph(GraphParams(seed=3, n_entities=50, n_facts=2000))
+        values = [value for f in g.facts for value in f]
+        assert len({id(value) for value in values}) == len(set(values)) < len(values)
+
     def test_infeasible_params(self):
         with pytest.raises(InfeasibleParamsError):
             generate_graph(GraphParams(seed=1, n_entities=2, n_relations=1, n_facts=100_000, time_range=(2000, 2001)))

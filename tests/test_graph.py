@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tkgqa.errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 from tkgqa.generator import GraphParams, generate_graph
 from tkgqa.graph import (
+    _RENDER_BLOCK,
     DEFAULT_FACT_TEMPLATES,
     Fact,
     Interval,
@@ -360,6 +361,17 @@ class TestMemory:
         assert out.read_bytes() == fact_file.read_bytes()
         assert peak < 256 * 1024, peak
 
+    def test_render_peak_is_at_most_two_and_a_half_texts(self, fact_file):
+        g = load_tkg(fact_file)
+        tracemalloc.start()
+        try:
+            text = render_text(g, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text.splitlines()) == self.N_FACTS
+        assert peak <= 2.5 * sys.getsizeof(text), peak / sys.getsizeof(text)
+
 
 class TestRenderText:
     def test_single_fact_single_template(self):
@@ -385,6 +397,21 @@ class TestRenderText:
     def test_empty_template_set_rejected(self, fixture_a):
         with pytest.raises(ValueError):
             render_text(fixture_a, template_set=[])
+
+    @staticmethod
+    def one_list_render(g, templates, seed):
+        """The rendering as one list of every sentence, joined once."""
+        rng = random.Random(seed)
+        return "\n".join([rng.choice(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1) for f in g.facts])
+
+    @pytest.mark.parametrize("size", [0, 1, _RENDER_BLOCK - 1, _RENDER_BLOCK, _RENDER_BLOCK + 1])
+    def test_blocks_join_to_the_one_list_text(self, size):
+        facts = generate_graph(GraphParams(seed=3, n_entities=200, n_facts=_RENDER_BLOCK + 1)).facts
+        g = TKG(facts[:size])
+        custom = ("{t1}: {o} <- {r} <- {s} since {t0}", "", "{s}|{r}|{o}|{t0}|{t1}")
+        for seed in (0, 11):
+            assert render_text(g, seed=seed) == self.one_list_render(g, DEFAULT_FACT_TEMPLATES, seed)
+            assert render_text(g, template_set=iter(custom), seed=seed) == self.one_list_render(g, custom, seed)
 
 
 def test_interval_helpers():
