@@ -32,34 +32,6 @@ class Answer:
             raise ValueError(f"unknown answer kind {self.kind!r}")
         object.__setattr__(self, "value", _normalize(self.kind, self.value))
 
-    @classmethod
-    def entity(cls, value: str) -> "Answer":
-        return cls("entity", value)
-
-    @classmethod
-    def entity_list(cls, values) -> "Answer":
-        return cls("entity_list", values)
-
-    @classmethod
-    def boolean(cls, value: bool) -> "Answer":
-        return cls("boolean", value)
-
-    @classmethod
-    def count(cls, value: int) -> "Answer":
-        return cls("count", value)
-
-    @classmethod
-    def duration(cls, value: int) -> "Answer":
-        return cls("duration", value)
-
-    @classmethod
-    def time_point(cls, value: int) -> "Answer":
-        return cls("time_point", value)
-
-    @classmethod
-    def time_interval(cls, value) -> "Answer":
-        return cls("time_interval", value)
-
     def to_json(self) -> dict:
         value = self.value
         if isinstance(value, tuple):

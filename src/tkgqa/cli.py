@@ -31,7 +31,7 @@ from .generator import (
 from .graph import load_tkg, read_jsonl, render_text, save_tkg  # noqa: F401
 from .oracle import oracle_answer
 from . import pipelines
-from .pipelines import LiveChatClient, Memo, PipelineConfig, make_mock_client, run, temporal_confidence
+from .pipelines import LiveChatClient, Memo, PipelineConfig, make_mock_client, run, temporal_confidence, warm_caches
 from .scoring import (
     aggregate,
     confidence_report,
@@ -186,6 +186,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         inst.tkg_text
     for inst in instances:
         inst.tkg.build_indexes()
+    # the prompt templates and the schema text are built once per process; the first job would pay for them
+    warm_caches()
     # the loaded graphs with their indexes, the instances and the texts live for
     # the whole run; keep the cyclic collector from re-walking them while jobs allocate
     gc.freeze()
@@ -257,11 +259,7 @@ def cmd_confidence(args: argparse.Namespace) -> int:
     # one client for every task, so an ordered mock script is read in task order
     client = _make_live_client(args, config) if args.mock is None else make_mock_client(args.mock)
     scores = [(actual, temporal_confidence(question, data, client, cfg)) for actual, question, data in pairs]
-    report = confidence_report(scores, threshold=threshold)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
+    print(_render_report(confidence_report(scores, threshold=threshold), args.format))
     return 0
 
 
@@ -347,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TkgqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TkgqaError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 fails as it is read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

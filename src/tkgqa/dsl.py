@@ -204,12 +204,32 @@ class _LineParser:
         tok = tok or self.peek()
         raise DslSyntaxError(message, self.line_no, tok.col)
 
+    def at(self, text: str) -> bool:
+        """Whether the next token is the punctuation ``text``."""
+        tok = self.peek()
+        return tok.kind == "punct" and tok.text == text
+
     def expect(self, kind: str, text: str | None = None) -> _Tok:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             self.fail(f"expected {want!r}, found {tok.text or 'end of line'!r}")
         return self.next()
+
+    def items(self, item, close: str, empty: bool = True) -> list:
+        """Comma-separated ``item()`` values up to the punctuation ``close``, which is consumed.
+
+        Unless ``empty``, a first item is read even at ``close``, so an empty
+        list fails as that item does.
+        """
+        items = []
+        if not (empty and self.at(close)):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect("punct", close)
+        return items
 
     def integer(self) -> int:
         tok = self.expect("int")
@@ -281,19 +301,17 @@ class _LineParser:
         self.expect("punct", "(")
         parts = []
         for i in range(3):
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "*":
+            if self.at("*"):
                 self.next()
                 parts.append(None)
-            elif tok.kind == "ident":
+            elif self.peek().kind == "ident":
                 parts.append(self.next().text)
             else:
                 self.fail("expected an id or '*'")
             if i < 2:
                 self.expect("punct", ",")
-        close = self.peek()
-        if not (close.kind == "punct" and close.text == ")"):
-            raise ArityError("facts takes exactly 3 arguments", self.line_no, close.col)
+        if not self.at(")"):
+            raise ArityError("facts takes exactly 3 arguments", self.line_no, self.peek().col)
         self.next()
         return Source(*parts)
 
@@ -303,14 +321,9 @@ class _LineParser:
         if name not in STAGE_ARITIES:
             raise UnknownIdentifierError(name, self.line_no, name_tok.col)
         args: list = []
-        if self.peek().kind == "punct" and self.peek().text == "(":
+        if self.at("("):
             self.next()
-            if not (self.peek().kind == "punct" and self.peek().text == ")"):
-                args.append(self.stage_arg())
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.stage_arg())
-            self.expect("punct", ")")
+            args = self.items(self.stage_arg, ")")
         if len(args) != STAGE_ARITIES[name]:
             raise ArityError(
                 f"{name} takes {STAGE_ARITIES[name]} argument(s), got {len(args)}",
@@ -333,14 +346,7 @@ class _LineParser:
         if name_tok.text not in function_names():
             raise UnknownIdentifierError(name_tok.text, self.line_no, name_tok.col)
         self.expect("punct", "(")
-        args: list = []
-        if not (self.peek().kind == "punct" and self.peek().text == ")"):
-            args.append(self.value())
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                args.append(self.value())
-        self.expect("punct", ")")
-        return Call(name_tok.text, tuple(args))
+        return Call(name_tok.text, tuple(self.items(self.value, ")")))
 
     def value(self, depth: int = 0) -> bool | int | str | list:
         """A call value as the JSON value it stands for; ``*`` is the string "*"."""
@@ -351,26 +357,13 @@ class _LineParser:
             return self.integer()
         if tok.kind == "ident" and tok.text in _BOOLEANS:
             return _BOOLEANS[self.next().text]
-        if tok.kind in ("ident", "cmp") or (tok.kind == "punct" and tok.text == "*"):
+        if tok.kind in ("ident", "cmp") or self.at("*"):
             return self.next().text
-        if tok.kind == "punct" and tok.text == "(":
+        if self.at("(") or self.at("["):
             self.next()
-            items = [self.value(depth + 1)]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                items.append(self.value(depth + 1))
-            self.expect("punct", ")")
-            return items
-        if tok.kind == "punct" and tok.text == "[":
-            self.next()
-            items = []
-            if not (self.peek().kind == "punct" and self.peek().text == "]"):
-                items.append(self.value(depth + 1))
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    items.append(self.value(depth + 1))
-            self.expect("punct", "]")
-            return items
+            close = ")" if tok.text == "(" else "]"
+            # an empty () fails as a bad value; an empty [] is an empty list
+            return self.items(lambda: self.value(depth + 1), close, empty=close == "]")
         self.fail(f"bad value {tok.text or 'end of line'!r}")
 
 
@@ -437,15 +430,15 @@ class ExecutionResult:
 
 
 class _FactList(list):
-    pass
+    type_name = "fact_list"
 
 
 class _EntityList(list):
-    pass
+    type_name = "entity_list"
 
 
 class _IntList(list):
-    pass
+    type_name = "int_list"
 
 
 _SOLVER_DOMAIN_ERRORS = (
@@ -540,17 +533,11 @@ class _Interpreter:
 
 
 def _type_name(value) -> str:
-    if isinstance(value, _FactList):
-        return "fact_list"
-    if isinstance(value, _EntityList):
-        return "entity_list"
-    if isinstance(value, _IntList):
-        return "int_list"
     if isinstance(value, Answer):
         return f"answer:{value.kind}"
     if isinstance(value, ErrorValue):
         return f"error:{value.error}"
-    return type(value).__name__
+    return getattr(value, "type_name", type(value).__name__)
 
 
 def _int_arg(stage: Stage, index: int) -> int:

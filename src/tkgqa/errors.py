@@ -102,26 +102,29 @@ class DslError(TkgqaError):
     """Base class for DSL parse and runtime errors."""
 
 
-class DslSyntaxError(DslError):
-    def __init__(self, message: str, line: int, col: int):
+class DslPositionError(DslError):
+    """A parse error at a 1-based source ``line`` and ``col``."""
+
+    def __init__(self, what: str, line: int, col: int, detail: str = ""):
         self.line = line
         self.col = col
-        super().__init__(f"syntax error at line {line}, col {col}: {message}")
+        super().__init__(f"{what} at line {line}, col {col}{detail}")
 
 
-class UnknownIdentifierError(DslError):
+class DslSyntaxError(DslPositionError):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__("syntax error", line, col, f": {message}")
+
+
+class UnknownIdentifierError(DslPositionError):
     def __init__(self, name: str, line: int, col: int):
         self.name = name
-        self.line = line
-        self.col = col
-        super().__init__(f"unknown identifier {name!r} at line {line}, col {col}")
+        super().__init__(f"unknown identifier {name!r}", line, col)
 
 
-class ArityError(DslError):
+class ArityError(DslPositionError):
     def __init__(self, message: str, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(f"arity error at line {line}, col {col}: {message}")
+        super().__init__("arity error", line, col, f": {message}")
 
 
 class StepLimitExceededError(DslError):

@@ -378,11 +378,22 @@ def _anchor_fills(anchor: Fact) -> dict:
     return {"a_s": anchor.s, "a_r": anchor.r, "a_o": anchor.o}
 
 
-def _sample_timeline(rng, g, tpl):
+def _anchored(args: dict, anchor: Fact, **extra) -> tuple[dict, dict]:
+    """A pattern's ``args`` with the anchor triplet and ``extra``; fills of the pattern and the anchor."""
+    fills = {**args, **_anchor_fills(anchor)}
+    args["anchor"] = [anchor.s, anchor.r, anchor.o]
+    args.update(extra)
+    return args, fills
+
+
+def _sample_ranked(rng, g, tpl, key: str | None = None, choices: tuple[str, ...] = ()):
+    """A pattern matching at least two facts, with ``key`` drawn from ``choices`` when given."""
     f = _rand_fact(rng, g)
     args = _pattern_args(f, tpl.side)
     if len(_pattern_matches(g, args)) < 2:
         return None
+    if key is not None:
+        args[key] = rng.choice(choices)
     return args, dict(args)
 
 
@@ -438,16 +449,6 @@ def _sample_episode(rng, g, tpl):
     return args, fills
 
 
-def _sample_first_last(rng, g, tpl):
-    f = _rand_fact(rng, g)
-    args = _pattern_args(f, tpl.side)
-    if len(_pattern_matches(g, args)) < 2:
-        return None
-    which = rng.choice(("first", "last"))
-    args["which"] = which
-    return args, dict(args)
-
-
 def _sample_event_at_another(rng, g, tpl):
     f = _rand_fact(rng, g)
     args = _pattern_args(f, tpl.side)
@@ -455,11 +456,7 @@ def _sample_event_at_another(rng, g, tpl):
     anchor = _anchor_hitting(rng, g, _pattern_matches(g, args), point)
     if anchor is None:
         return None
-    args["anchor"] = [anchor.s, anchor.r, anchor.o]
-    args["anchor_point"] = point
-    fills = {k: v for k, v in args.items() if k in ("s", "r", "o")}
-    fills.update(_anchor_fills(anchor))
-    return args, fills
+    return _anchored(args, anchor, anchor_point=point)
 
 
 def _sample_window(rng, g, tpl):
@@ -480,33 +477,17 @@ def _sample_window(rng, g, tpl):
     return args, fills
 
 
-def _sample_entity_by_duration(rng, g, tpl):
-    f = _rand_fact(rng, g)
-    args = _pattern_args(f, tpl.side)
-    if len(_pattern_matches(g, args)) < 2:
-        return None
-    args["mode"] = rng.choice(("longest", "shortest"))
-    return args, dict(args)
-
-
 def _sample_during_triplet(rng, g, tpl):
     f = _rand_fact(rng, g)
     args = _pattern_args(f, tpl.side)
     matches = _pattern_matches(g, args)
-    anchor = None
     for _ in range(30):
-        candidate = _episode_triple(rng, g)
-        if candidate is None:
+        anchor = _episode_triple(rng, g)
+        if anchor is None:
             return None
-        if any(x != candidate and x.interval.overlaps(candidate.interval) for x in matches):
-            anchor = candidate
-            break
-    if anchor is None:
-        return None
-    args["anchor"] = [anchor.s, anchor.r, anchor.o]
-    fills = {k: v for k, v in args.items() if k in ("s", "r", "o")}
-    fills.update(_anchor_fills(anchor))
-    return args, fills
+        if any(x != anchor and x.interval.overlaps(anchor.interval) for x in matches):
+            return _anchored(args, anchor)
+    return None
 
 
 def _sample_in_between(rng, g, tpl):
@@ -613,6 +594,8 @@ def sample_call(rng: random.Random, g: TKG, qtype: str, tries: int = 50) -> Func
     Used by the generator and by equivalence tests that need valid-ish calls;
     returns None when the graph cannot support the type.
     """
+    if not g.facts:
+        return None
     templates = TEMPLATES[qtype]
     sampler = _SAMPLERS[qtype]
     for attempt in range(tries):
@@ -624,15 +607,15 @@ def sample_call(rng: random.Random, g: TKG, qtype: str, tries: int = 50) -> Func
 
 
 _SAMPLERS = {
-    "timeline": _sample_timeline,
+    "timeline": _sample_ranked,
     "before_after": _sample_before_after,
     "event_at_time_t": _sample_event_at_time_t,
     "event_at_what_time": _sample_episode,
-    "first_last": _sample_first_last,
+    "first_last": functools.partial(_sample_ranked, key="which", choices=("first", "last")),
     "event_at_the_time_of_another_event": _sample_event_at_another,
     "number_of_events_in_time_interval": _sample_window,
     "relation_duration": _sample_episode,
-    "get_entity_by_duration": _sample_entity_by_duration,
+    "get_entity_by_duration": functools.partial(_sample_ranked, key="mode", choices=("longest", "shortest")),
     "find_entities_during_triplet": _sample_during_triplet,
     "get_entities_in_between": _sample_in_between,
     "calculate_total_relation_time": _sample_total_time,
@@ -729,6 +712,8 @@ def generate_instances(
     unknown = set(requested) - set(QUESTION_TYPES)
     if unknown:
         raise ValueError(f"unknown question types: {sorted(unknown)}")
+    if not g.facts:
+        raise TkgqaError("cannot generate questions over a graph with no facts")
     render_seed = subseed(seed, "render")
 
     instances = []
@@ -807,7 +792,11 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at) -> Ta
     tkg_ref: str | None = None
     if isinstance(tkg_field, str):
         tkg_ref = tkg_field
-        graph = graph_at((base_dir / tkg_field).resolve())
+        try:
+            path = (base_dir / tkg_field).resolve()
+        except ValueError as exc:  # a NUL or a lone surrogate in the path
+            raise ParseError(line_no, f"bad tkg path: {exc}") from None
+        graph = graph_at(path)
     elif isinstance(tkg_field, list):
         try:
             graph = TKG(tkg_field)

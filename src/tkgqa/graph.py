@@ -211,7 +211,7 @@ class TKG:
 def read_jsonl(source: str | Path | IO[str]) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) for each non-blank line.
 
-    Raises :class:`ParseError` on invalid JSON or a line that is not an object.
+    Raises :class:`ParseError` on a line that is not a JSON object the decoder can hold.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as lines:
@@ -224,6 +224,8 @@ def read_jsonl(source: str | Path | IO[str]) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # an integer too long for int(), or nesting too deep
+            raise ParseError(line_no, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_no, "line is not a JSON object")
         yield line_no, obj

@@ -119,7 +119,7 @@ def _single_anchor(g: TKG, triple) -> Fact:
 def _o_timeline(g, s=None, r=None, o=None):
     pos = _wc(s, r, o)
     facts = _nonempty(_scan(g, s, r, o), "empty")
-    return Answer.entity_list([_ent(f, pos) for f in _ordered(facts)])
+    return Answer("entity_list", [_ent(f, pos) for f in _ordered(facts)])
 
 
 def _o_before_after(g, s=None, r=None, o=None, *, pivot, direction):
@@ -135,7 +135,7 @@ def _o_before_after(g, s=None, r=None, o=None, *, pivot, direction):
     j = idx - 1 if direction == "before" else idx + 1
     if j < 0 or j >= len(ordered):
         raise NoMatchingFactsError("no adjacent fact")
-    return Answer.entity(_ent(ordered[j], pos))
+    return Answer("entity", _ent(ordered[j], pos))
 
 
 def _o_event_at_time_t(g, s=None, r=None, o=None, *, t):
@@ -145,22 +145,22 @@ def _o_event_at_time_t(g, s=None, r=None, o=None, *, t):
     for f in _ordered(facts):
         if f.t0 <= t <= f.t1 and _ent(f, pos) not in seen:
             seen.append(_ent(f, pos))
-    return Answer.entity_list(seen)
+    return Answer("entity_list", seen)
 
 
 def _o_event_at_what_time(g, s, r, o, *, endpoint="interval", occurrence=None):
     ep = _pick_episode(_nonempty(_scan(g, s, r, o), "empty"), occurrence)
     if endpoint == "start":
-        return Answer.time_point(ep.t0)
+        return Answer("time_point", ep.t0)
     if endpoint == "end":
-        return Answer.time_point(ep.t1)
-    return Answer.time_interval((ep.t0, ep.t1))
+        return Answer("time_point", ep.t1)
+    return Answer("time_interval", (ep.t0, ep.t1))
 
 
 def _o_first_last(g, s=None, r=None, o=None, *, which):
     pos = _wc(s, r, o)
     ordered = _ordered(_nonempty(_scan(g, s, r, o), "empty"))
-    return Answer.entity(_ent(ordered[0] if which == "first" else ordered[-1], pos))
+    return Answer("entity", _ent(ordered[0] if which == "first" else ordered[-1], pos))
 
 
 def _o_event_at_the_time_of_another_event(g, *, anchor, anchor_point, s=None, r=None, o=None):
@@ -172,12 +172,12 @@ def _o_event_at_the_time_of_another_event(g, *, anchor, anchor_point, s=None, r=
 def _o_number_of_events(g, s=None, r=None, o=None, *, window):
     lo, hi = window
     facts = _nonempty(_scan(g, s, r, o), "empty")
-    return Answer.count(sum(1 for f in facts if lo <= f.t0 and f.t1 <= hi))
+    return Answer("count", sum(1 for f in facts if lo <= f.t0 and f.t1 <= hi))
 
 
 def _o_relation_duration(g, s, r, o, *, occurrence=None):
     ep = _pick_episode(_nonempty(_scan(g, s, r, o), "empty"), occurrence)
-    return Answer.duration(ep.t1 - ep.t0)
+    return Answer("duration", ep.t1 - ep.t0)
 
 
 def _o_get_entity_by_duration(g, s=None, r=None, o=None, *, mode):
@@ -188,7 +188,7 @@ def _o_get_entity_by_duration(g, s=None, r=None, o=None, *, mode):
         d, bd = f.t1 - f.t0, best.t1 - best.t0
         if (mode == "longest" and d > bd) or (mode == "shortest" and d < bd):
             best = f
-    return Answer.entity(_ent(best, pos))
+    return Answer("entity", _ent(best, pos))
 
 
 def _o_find_entities_during_triplet(g, *, anchor, s=None, r=None, o=None):
@@ -201,7 +201,7 @@ def _o_find_entities_during_triplet(g, *, anchor, s=None, r=None, o=None):
             continue
         if f.t0 <= a.t1 and a.t0 <= f.t1 and _ent(f, pos) not in out:
             out.append(_ent(f, pos))
-    return Answer.entity_list(out)
+    return Answer("entity_list", out)
 
 
 def _o_get_entities_in_between(g, s=None, r=None, o=None, *, from_entity, to_entity):
@@ -215,20 +215,20 @@ def _o_get_entities_in_between(g, s=None, r=None, o=None, *, from_entity, to_ent
             hi = f.t0
     if lo is None or hi is None:
         raise NoMatchingFactsError("endpoint entity absent")
-    return Answer.entity_list([_ent(f, pos) for f in ordered if lo < f.t0 < hi])
+    return Answer("entity_list", [_ent(f, pos) for f in ordered if lo < f.t0 < hi])
 
 
 def _o_total_relation_time(g, s=None, r=None, o=None, *, merge_overlaps=True):
     facts = _nonempty(_scan(g, s, r, o), "empty")
     if not merge_overlaps:
-        return Answer.duration(sum(f.t1 - f.t0 for f in facts))
-    return Answer.duration(_union_length([(f.t0, f.t1) for f in facts]))
+        return Answer("duration", sum(f.t1 - f.t0 for f in facts))
+    return Answer("duration", _union_length([(f.t0, f.t1) for f in facts]))
 
 
 def _o_is_triplet_within_timespan(g, s, r, o, *, window):
     lo, hi = window
     facts = _nonempty(_scan(g, s, r, o), "empty")
-    return Answer.boolean(any(lo <= f.t0 and f.t1 <= hi for f in facts))
+    return Answer("boolean", any(lo <= f.t0 and f.t1 <= hi for f in facts))
 
 
 def _o_check_interval_without_relation(g, s=None, r=None, o=None, *, window, min_gap):
@@ -240,10 +240,10 @@ def _o_check_interval_without_relation(g, s=None, r=None, o=None, *, window, min
     ]
     covered = _covered_spans(clamped)
     if not covered:
-        return Answer.boolean(hi - lo > min_gap)
+        return Answer("boolean", hi - lo > min_gap)
     gaps = [covered[0][0] - lo, hi - covered[-1][1]]
     gaps.extend(nxt[0] - prev[1] for prev, nxt in zip(covered, covered[1:]))
-    return Answer.boolean(any(gap > min_gap for gap in gaps))
+    return Answer("boolean", any(gap > min_gap for gap in gaps))
 
 
 def _o_compare_triplet_durations(g, *, first, second, op):
@@ -251,12 +251,12 @@ def _o_compare_triplet_durations(g, *, first, second, op):
     for triple in (first, second):
         facts = _nonempty(_scan(g, *triple), "empty")
         totals.append(_union_length([(f.t0, f.t1) for f in facts]))
-    return Answer.boolean(totals[0] > totals[1] if op == "longer" else totals[0] < totals[1])
+    return Answer("boolean", totals[0] > totals[1] if op == "longer" else totals[0] < totals[1])
 
 
 def _o_sequence_of_relations(g, s=None, *, steps, window):
     if not steps:
-        return Answer.boolean(True)
+        return Answer("boolean", True)
     lo, hi = window
     _nonempty(_scan(g, s, None, None), "subject has no facts")
     candidate_times = []
@@ -272,8 +272,8 @@ def _o_sequence_of_relations(g, s=None, *, steps, window):
     # exhaustive: try every combination of candidate times
     for combo in itertools.product(*candidate_times):
         if all(combo[i] <= combo[i + 1] for i in range(len(combo) - 1)):
-            return Answer.boolean(True)
-    return Answer.boolean(False)
+            return Answer("boolean", True)
+    return Answer("boolean", False)
 
 
 def _o_count_relations_with_duration(g, s=None, r=None, o=None, *, comparator, threshold, window):
@@ -294,7 +294,7 @@ def _o_count_relations_with_duration(g, s=None, r=None, o=None, *, comparator, t
             count += 1
         elif comparator == ">" and d > threshold:
             count += 1
-    return Answer.count(count)
+    return Answer("count", count)
 
 
 _ORACLES = {

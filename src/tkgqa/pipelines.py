@@ -62,6 +62,7 @@ __all__ = [
     "LiveChatClient",
     "make_mock_client",
     "Memo",
+    "warm_caches",
     "run",
     "expand_transcripts",
     "extract_answer",
@@ -253,16 +254,19 @@ class ScriptedMockClient:
         if isinstance(script, dict):
             self._patterns: dict[str, str] | None = dict(script)
             self._replies: list[str] | None = None
+            strings = [*self._patterns, *self._patterns.values()]
         else:
             self._patterns = None
-            self._replies = list(script)
+            self._replies = strings = list(script)
+        if not all(isinstance(x, str) for x in strings):
+            raise ClientError("mock script replies and patterns must be strings")
         self._cursor = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedMockClient":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep for the decoder
             raise ClientError(f"mock script is not valid JSON: {path}: {exc}") from None
         if not isinstance(obj, (list, dict)):
             raise ClientError(f"mock script must be a JSON array or object: {path}")
@@ -443,6 +447,16 @@ class OracleMockClient:
         return _json_fence({"score": 1.0})
 
 
+_FIRST_FACT_ARGUMENTS = {
+    "entity": lambda f: f.s,
+    "relation": lambda f: f.r,
+    "integer": lambda f: f.t0,
+    "interval": lambda f: [f.t0, f.t1],
+    "triplet": lambda f: [f.s, f.r, f.o],
+    "steps": lambda f: [[f.r, "start"]],
+}
+
+
 class RandomFunctionMockClient(OracleMockClient):
     """Like the oracle mock, but picks a uniformly random function when asked
     to select one.  Deterministic per (seed, instance id)."""
@@ -465,18 +479,8 @@ class RandomFunctionMockClient(OracleMockClient):
                 arguments[param.name] = canonical[param.name]
             elif param.required and param.type == "choice":
                 arguments[param.name] = (param.choices or ("",))[0]
-            elif param.required and facts:
-                f = facts[0]
-                if param.type in ("entity", "relation"):
-                    arguments[param.name] = f.s if param.type == "entity" else f.r
-                elif param.type == "integer":
-                    arguments[param.name] = f.t0
-                elif param.type == "interval":
-                    arguments[param.name] = [f.t0, f.t1]
-                elif param.type == "triplet":
-                    arguments[param.name] = [f.s, f.r, f.o]
-                elif param.type == "steps":
-                    arguments[param.name] = [[f.r, "start"]]
+            elif param.required and facts and param.type in _FIRST_FACT_ARGUMENTS:
+                arguments[param.name] = _FIRST_FACT_ARGUMENTS[param.type](facts[0])
         return _json_fence({"name": name, "arguments": arguments})
 
 
@@ -702,22 +706,22 @@ def coerce_answer(answer_type: str, raw) -> Answer | None:
         return raw if raw.kind == answer_type else None
     try:
         if answer_type == "entity":
-            return Answer.entity(raw.strip()) if isinstance(raw, str) else None
+            return Answer("entity", raw.strip()) if isinstance(raw, str) else None
         if answer_type == "entity_list":
             if isinstance(raw, str):
                 raw = [raw]
             if isinstance(raw, (list, tuple)) and all(isinstance(v, str) for v in raw):
-                return Answer.entity_list([v.strip() for v in raw])
+                return Answer("entity_list", [v.strip() for v in raw])
             return None
         if answer_type == "boolean":
             if isinstance(raw, bool):
-                return Answer.boolean(raw)
+                return Answer("boolean", raw)
             if isinstance(raw, str):
                 word = raw.strip().lower()
                 if word in _TRUE_WORDS:
-                    return Answer.boolean(True)
+                    return Answer("boolean", True)
                 if word in _FALSE_WORDS:
-                    return Answer.boolean(False)
+                    return Answer("boolean", False)
             return None
         if answer_type in ("count", "duration", "time_point"):
             value = _coerce_int(raw)
@@ -726,7 +730,7 @@ def coerce_answer(answer_type: str, raw) -> Answer | None:
             if isinstance(raw, (list, tuple)) and len(raw) == 2:
                 a, b = (_coerce_int(v) for v in raw)
                 if a is not None and b is not None:
-                    return Answer.time_interval((a, b))
+                    return Answer("time_interval", (a, b))
             return None
     except ValueError:
         return None
@@ -959,6 +963,13 @@ def _run_cote(instance, chain, statement, structured: bool):
 @functools.cache
 def _schema_text() -> str:
     return json.dumps(schema_bundle(), indent=2)
+
+
+def warm_caches() -> None:
+    """Fill the caches of every default prompt template and of the schema text, each built once per process."""
+    for path in _PROMPTS_DIR.glob("*.txt"):
+        _template(path.stem, None)  # the key that _Chain.ask uses when cfg.prompts_dir is None
+    _schema_text()
 
 
 def _run_cotapi(instance, chain, statement, structured: bool):

@@ -131,7 +131,7 @@ def load_rows(source: str | Path) -> list[ScoredRow]:
     for line_no, obj in read_jsonl(source):
         try:
             rows.append(ScoredRow.from_json(obj))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), float(10**400)
             raise ParseError(line_no, f"bad scored row: {exc}") from exc
     return rows
 
@@ -211,12 +211,11 @@ class Report:
             lines.append("")
             lines.append("Function usage (percent of cotapi/cotapi_s runs)")
             lines.append(f"{'':>12} {'Associated':>11} {'Non-Associated':>15}")
-            lines.append(
-                f"{'True Pred.':>12} {self.usage['associated_true']:>10.1f}% {self.usage['non_associated_true']:>14.1f}%"
-            )
-            lines.append(
-                f"{'False Pred.':>12} {self.usage['associated_false']:>10.1f}% {self.usage['non_associated_false']:>14.1f}%"
-            )
+            for label, outcome in (("True Pred.", "true"), ("False Pred.", "false")):
+                lines.append(
+                    f"{label:>12} {self.usage['associated_' + outcome]:>10.1f}% "
+                    f"{self.usage['non_associated_' + outcome]:>14.1f}%"
+                )
         if self.bins:
             lines.append("")
             lines.append("False predictions by data size (token bins)")
@@ -253,15 +252,14 @@ def aggregate(rows: Sequence[ScoredRow], bin_width: int = 500) -> Report:
     grid: dict = {}
     type_counts: dict = {}
     for qtype in sorted({r.question_type for r in ordered}):
-        grid[qtype] = {}
-        per_type = [r for r in ordered if r.question_type == qtype]
-        counts = {r.technique for r in per_type}
-        type_counts[qtype] = max(
-            sum(1 for r in per_type if r.technique == tech) for tech in counts
-        )
-        for tech in sorted(counts):
-            cell = [r for r in per_type if r.technique == tech]
-            grid[qtype][tech] = round(100.0 * sum(r.correct for r in cell) / len(cell), 1)
+        cells: dict[str, list[ScoredRow]] = {}  # technique -> its rows of this type
+        for r in ordered:
+            if r.question_type == qtype:
+                cells.setdefault(r.technique, []).append(r)
+        type_counts[qtype] = max(len(cell) for cell in cells.values())
+        grid[qtype] = {
+            tech: round(100.0 * sum(r.correct for r in cell) / len(cell), 1) for tech, cell in sorted(cells.items())
+        }
     report = Report(techniques=techniques, grid=grid, type_counts=type_counts)
     report.usage = function_usage(ordered)
     report.bins = token_bins(ordered, bin_width)

@@ -27,7 +27,7 @@ Conventions shared by the whole set:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .answers import Answer, FunctionCall
 from .errors import (
@@ -100,6 +100,11 @@ def _wildcard_entity(f: Fact, position: str) -> str:
     return f.s if position == "s" else f.o
 
 
+def _distinct_entities(facts: Iterable[Fact], position: str) -> list[str]:
+    """The facts' entities at ``position``, each once, in the order of its first fact."""
+    return list(dict.fromkeys(_wildcard_entity(f, position) for f in facts))
+
+
 def _unique_episode(episodes: list[Fact], occurrence: int | None, what: str) -> Fact:
     """Pick one episode from a t0-sorted list, honouring an optional 1-based index."""
     ordered = sort_facts(episodes)
@@ -164,13 +169,8 @@ def event_at_time_t(
     """Entities whose episode covers the time point t (t0 <= t <= t1), deduplicated."""
     position = _entity_wildcard(s, r, o)
     matches = _query(g, s, r, o)
-    covered = [f for f in sort_facts(matches) if f.interval.contains_point(t)]
-    out: list[str] = []
-    for f in covered:
-        e = _wildcard_entity(f, position)
-        if e not in out:
-            out.append(e)
-    return out
+    covered = (f for f in sort_facts(matches) if f.interval.contains_point(t))
+    return _distinct_entities(covered, position)
 
 
 def event_at_what_time(
@@ -270,14 +270,8 @@ def find_entities_during_triplet(
     position = _entity_wildcard(s, r, o)
     anchor_fact = _anchor_fact(g, anchor, "find_entities_during_triplet")
     matches = _query(g, s, r, o)
-    out: list[str] = []
-    for f in sort_facts(matches):
-        if f == anchor_fact or not f.interval.overlaps(anchor_fact.interval):
-            continue
-        e = _wildcard_entity(f, position)
-        if e not in out:
-            out.append(e)
-    return out
+    overlapping = (f for f in sort_facts(matches) if f != anchor_fact and f.interval.overlaps(anchor_fact.interval))
+    return _distinct_entities(overlapping, position)
 
 
 def get_entities_in_between(
@@ -484,12 +478,6 @@ class FunctionSpec:
 _REGISTRY: dict[str, FunctionSpec] = {}
 
 
-def _register(spec: FunctionSpec) -> None:
-    if spec.name in _REGISTRY:
-        raise ValueError(f"function {spec.name!r} registered twice")
-    _REGISTRY[spec.name] = spec
-
-
 def function_names() -> list[str]:
     return list(_REGISTRY)
 
@@ -518,6 +506,22 @@ def _pattern_params(subject_doc: str, relation_doc: str, object_doc: str, relati
     ]
 
 
+# the pattern of a function that answers at its one entity wildcard
+_ENTITY_PATTERN = _pattern_params(
+    'subject entity id, or "*"', "relation id (must be bound)", 'object entity id, or "*"', True
+)
+# the same pattern beside an anchor triplet
+_QUERY_PATTERN = _pattern_params(
+    'query subject entity id, or "*"', "query relation id (must be bound)", 'query object entity id, or "*"', True
+)
+# a pattern in which any subset of s/r/o may be bound
+_ANY_PATTERN = _pattern_params('subject entity id, or "*"', 'relation id, or "*"', 'object entity id, or "*"', False)
+_BOUND_TRIPLE = [
+    Param("s", "entity", "subject entity id"),
+    Param("r", "relation", "relation id"),
+    Param("o", "entity", "object entity id"),
+]
+
 _ENTITY_PATTERN_DOC = (
     'Use "*" (or omit) for exactly one of s/o: that wildcard position is answered. '
     "r must be a relation id."
@@ -532,7 +536,9 @@ def _def(
     params: list[Param],
     examples: tuple[str, ...],
 ) -> None:
-    _register(FunctionSpec(name, logic, description, tuple(params), examples, answer_kind))
+    if name in _REGISTRY:
+        raise ValueError(f"function {name!r} registered twice")
+    _REGISTRY[name] = FunctionSpec(name, logic, description, tuple(params), examples, answer_kind)
 
 
 _def(
@@ -562,12 +568,7 @@ _def(
     "Return the entity immediately before or after the pivot entity's episode, in "
     "episode start-time order over the facts matching the pattern. "
     + _ENTITY_PATTERN_DOC,
-    _pattern_params(
-        'subject entity id, or "*"',
-        "relation id (must be bound)",
-        'object entity id, or "*"',
-        True,
-    )
+    _ENTITY_PATTERN
     + [
         Param("pivot", "entity", "entity whose episode anchors the lookup"),
         Param("direction", "choice", "'before' for the predecessor, 'after' for the successor", choices=("before", "after")),
@@ -584,12 +585,7 @@ _def(
     "entity_list",
     "List the entities at the wildcard position whose episode covers the year t "
     "(t0 <= t <= t1), deduplicated and sorted by episode start. " + _ENTITY_PATTERN_DOC,
-    _pattern_params(
-        'subject entity id, or "*"',
-        "relation id (must be bound)",
-        'object entity id, or "*"',
-        True,
-    )
+    _ENTITY_PATTERN
     + [Param("t", "integer", "the year to inspect")],
     (
         'event_at_time_t(s="*", r="R1", o="E2", t=2002) -> ["E1", "E5"] when E1 and E5 '
@@ -604,10 +600,8 @@ _def(
     "Return when the fully bound triplet (s, r, o) held: its start year, end year, or "
     "the whole [t0, t1] interval. If the triplet has several episodes, pass a 1-based "
     "occurrence index (episodes ordered by start year).",
-    [
-        Param("s", "entity", "subject entity id"),
-        Param("r", "relation", "relation id"),
-        Param("o", "entity", "object entity id"),
+    _BOUND_TRIPLE
+    + [
         Param("endpoint", "choice", "'start', 'end', or 'interval' (default)", required=False, choices=("start", "end", "interval")),
         Param("occurrence", "integer", "1-based episode index when several episodes exist", required=False),
     ],
@@ -624,12 +618,7 @@ _def(
     "Return the wildcard-position entity of the episode with the earliest ('first') or "
     "latest ('last') start year among the facts matching the pattern. "
     + _ENTITY_PATTERN_DOC,
-    _pattern_params(
-        'subject entity id, or "*"',
-        "relation id (must be bound)",
-        'object entity id, or "*"',
-        True,
-    )
+    _ENTITY_PATTERN
     + [Param("which", "choice", "'first' or 'last'", choices=("first", "last"))],
     ('first_last(s="E1", r="R1", o="*", which="first") -> "E2" when E1\'s earliest R1 episode is with E2.',),
 )
@@ -645,12 +634,7 @@ _def(
         Param("anchor", "triplet", "the anchor fact as [s, r, o]; must match exactly one episode"),
         Param("anchor_point", "choice", "'start' or 'end' of the anchor episode", choices=("start", "end")),
     ]
-    + _pattern_params(
-        'query subject entity id, or "*"',
-        "query relation id (must be bound)",
-        'query object entity id, or "*"',
-        True,
-    ),
+    + _QUERY_PATTERN,
     (
         'event_at_the_time_of_another_event(anchor=["E1", "R1", "E3"], anchor_point="start", '
         's="E1", r="R2", o="*") -> ["E6"] when E1 held R2 with E6 over the anchor start year.',
@@ -663,7 +647,7 @@ _def(
     "count",
     "Count the episodes matching the pattern whose whole interval [t0, t1] is contained "
     "in the window (window.a <= t0 and t1 <= window.b). Any subset of s/r/o may be bound.",
-    _pattern_params('subject entity id, or "*"', 'relation id, or "*"', 'object entity id, or "*"', False)
+    _ANY_PATTERN
     + [Param("window", "interval", "the containing window as [start_year, end_year]")],
     (
         'number_of_events_in_time_interval(s="E1", r="R1", o="*", window=[2000, 2011]) -> 2 '
@@ -678,12 +662,8 @@ _def(
     "Duration in years (t1 - t0) of one episode of the fully bound triplet (s, r, o). "
     "If the triplet has several episodes, pass a 1-based occurrence index (episodes "
     "ordered by start year).",
-    [
-        Param("s", "entity", "subject entity id"),
-        Param("r", "relation", "relation id"),
-        Param("o", "entity", "object entity id"),
-        Param("occurrence", "integer", "1-based episode index when several episodes exist", required=False),
-    ],
+    _BOUND_TRIPLE
+    + [Param("occurrence", "integer", "1-based episode index when several episodes exist", required=False)],
     (
         'relation_duration(s="E1", r="R1", o="E3") -> 4 for the single episode 2006-2010.',
         'relation_duration(s="E1", r="R1", o="E2", occurrence=1) -> 5 for the first episode 2000-2005.',
@@ -697,12 +677,7 @@ _def(
     "Return the wildcard-position entity of the longest or shortest episode among the "
     "facts matching the pattern; duration ties go to the earliest episode. "
     + _ENTITY_PATTERN_DOC,
-    _pattern_params(
-        'subject entity id, or "*"',
-        "relation id (must be bound)",
-        'object entity id, or "*"',
-        True,
-    )
+    _ENTITY_PATTERN
     + [Param("mode", "choice", "'longest' or 'shortest'", choices=("longest", "shortest"))],
     ('get_entity_by_duration(s="E1", r="R1", o="*", mode="longest") -> "E4" when the E4 episode lasts longest.',),
 )
@@ -715,12 +690,7 @@ _def(
     "the anchor triplet's episode (any shared time counts); the anchor fact itself is "
     "excluded. Deduplicated, sorted by episode start. " + _ENTITY_PATTERN_DOC,
     [Param("anchor", "triplet", "the anchor fact as [s, r, o]; must match exactly one episode")]
-    + _pattern_params(
-        'query subject entity id, or "*"',
-        "query relation id (must be bound)",
-        'query object entity id, or "*"',
-        True,
-    ),
+    + _QUERY_PATTERN,
     (
         'find_entities_during_triplet(anchor=["E1", "R1", "E2"], s="*", r="R1", o="E2") -> '
         '["E5", "E7"] for the other subjects whose R1 episodes with E2 overlap the anchor years.',
@@ -734,12 +704,7 @@ _def(
     "List the entities whose episode starts strictly after the from-entity's episode "
     "starts and strictly before the to-entity's episode starts, over the facts matching "
     "the pattern. Duplicates kept, sorted by episode start. " + _ENTITY_PATTERN_DOC,
-    _pattern_params(
-        'subject entity id, or "*"',
-        "relation id (must be bound)",
-        'object entity id, or "*"',
-        True,
-    )
+    _ENTITY_PATTERN
     + [
         Param("from_entity", "entity", "entity opening the range (its earliest episode is used)"),
         Param("to_entity", "entity", "entity closing the range (its earliest episode is used)"),
@@ -758,7 +723,7 @@ _def(
     "episodes are merged before summing, so the result is elapsed time; set "
     "merge_overlaps=false to sum raw episode durations instead. Any subset of s/r/o may "
     "be bound.",
-    _pattern_params('subject entity id, or "*"', 'relation id, or "*"', 'object entity id, or "*"', False)
+    _ANY_PATTERN
     + [Param("merge_overlaps", "boolean", "merge overlapping episodes before summing (default true)", required=False)],
     (
         'calculate_total_relation_time(s="E1", r="R1", o="*") -> 17 for disjoint episodes of 5, 4 and 8 years.',
@@ -772,12 +737,8 @@ _def(
     "boolean",
     "True iff some episode of the fully bound triplet (s, r, o) is CONTAINED in the "
     "window: window.a <= t0 and t1 <= window.b.",
-    [
-        Param("s", "entity", "subject entity id"),
-        Param("r", "relation", "relation id"),
-        Param("o", "entity", "object entity id"),
-        Param("window", "interval", "the containing window as [start_year, end_year]"),
-    ],
+    _BOUND_TRIPLE
+    + [Param("window", "interval", "the containing window as [start_year, end_year]")],
     ('is_triplet_within_timespan(s="E1", r="R1", o="E2", window=[1999, 2006]) -> true for the episode 2000-2005.',),
 )
 
@@ -789,7 +750,7 @@ _def(
     "with no matching episode in effect. Episodes are clamped to the window and merged; "
     "the stretches before the first episode and after the last one count as gaps. Any "
     "subset of s/r/o may be bound.",
-    _pattern_params('subject entity id, or "*"', 'relation id, or "*"', 'object entity id, or "*"', False)
+    _ANY_PATTERN
     + [
         Param("window", "interval", "the window to inspect as [start_year, end_year]"),
         Param("min_gap", "integer", "gap threshold in years; a gap must be STRICTLY longer to count"),
@@ -844,7 +805,7 @@ _def(
     "Count the episodes matching the pattern that OVERLAP the window and whose duration "
     "(t1 - t0) satisfies the comparison against the threshold. Any subset of s/r/o may "
     "be bound.",
-    _pattern_params('subject entity id, or "*"', 'relation id, or "*"', 'object entity id, or "*"', False)
+    _ANY_PATTERN
     + [
         Param("comparator", "choice", "one of <, <=, =, >=, >", choices=DURATION_COMPARATORS),
         Param("threshold", "integer", "duration threshold in years"),
@@ -934,9 +895,7 @@ def _normalize_argument(param: Param, value):
 
 def _answer_from(kind: str, value) -> Answer:
     if kind == "time":
-        if isinstance(value, Interval):
-            return Answer.time_interval(value)
-        return Answer.time_point(value)
+        kind = "time_interval" if isinstance(value, Interval) else "time_point"
     return Answer(kind, value)
 
 

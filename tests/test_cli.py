@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import logging
 import os
@@ -9,6 +11,7 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tkgqa.cli
 import tkgqa.generator
@@ -107,6 +110,13 @@ class TestGenDataset:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_empty_graph_is_an_error_line(self, workspace, capsys):
+        empty = workspace / "empty.jsonl"
+        empty.write_text("")
+        assert run_cli("gen-dataset", "--graph", str(empty), "--seed", "1", "--out", str(workspace / "d.jsonl")) == 1
+        assert capsys.readouterr().err == "error: cannot generate questions over a graph with no facts\n"
+        assert not (workspace / "d.jsonl").exists()
+
 
 class TestVerify:
     def test_green_dataset(self, workspace, capsys):
@@ -140,6 +150,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: bad inline tkg: invalid fact at index 1")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", ["a\x00b", "\ud800"])
+    def test_bad_tkg_path_is_a_line_error(self, workspace, capsys, path):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        lines = dataset.read_text().splitlines()
+        second = json.loads(lines[1])
+        second["tkg"] = path
+        lines[1] = json.dumps(second, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: bad tkg path: ")
 
     @pytest.mark.parametrize("seed, reason", [(None, "must be regenerated with gen-dataset"),
                                               ("3", "render_seed must be an integer"),
@@ -350,6 +372,27 @@ class TestEval:
         assert min(started for _, _, started in in_jobs) == first_structuring
         assert len({(id(g), field) for g, field, _ in in_jobs}) == len(in_jobs)
 
+    def test_fills_the_prompt_and_schema_caches_before_the_first_job(self, workspace, monkeypatch):
+        """No job's wall_time includes reading a prompt template or building the schema text."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        caches = (tkgqa.pipelines._template, tkgqa.pipelines._schema_text)
+        for cache in caches:
+            cache.cache_clear()
+        added = []  # per job, the entries it added to each cache
+        real_run = tkgqa.cli.run
+
+        def recording_run(inst, technique, client, cfg, **kwargs):
+            before = [cache.cache_info().currsize for cache in caches]
+            result = real_run(inst, technique, client, cfg, **kwargs)
+            added.append([cache.cache_info().currsize - size for cache, size in zip(caches, before)])
+            return result
+
+        monkeypatch.setattr(tkgqa.cli, "run", recording_run)
+        techniques = ",".join(tkgqa.pipelines.TECHNIQUES)
+        assert run_cli("eval", "--dataset", str(dataset), "--technique", techniques, "--mock", "oracle") == 0
+        assert added == [[0, 0]] * 8 * 17
+        assert all(cache.cache_info().currsize for cache in caches)
+
     def test_memo_freed_when_eval_returns(self, workspace, monkeypatch):
         """Reference counting alone frees an eval's memo on return: it is in no reference cycle."""
         dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
@@ -440,6 +483,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: mock script is not valid JSON") and "bad.json" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("script", [{"": 5}, ["ok", None], {"": ["a"]}])
+    def test_mock_script_of_non_strings_exits_1(self, workspace, capsys, script):
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        (workspace / "s.json").write_text(json.dumps(script))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(dataset), "--technique", "direct", "--mock", str(workspace / "s.json"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: mock script replies and patterns must be strings\n"
 
 
 class TestBinWidth:
@@ -609,3 +661,59 @@ class TestConfig:
 
         with pytest.raises(TkgqaError):
             load_config(path)
+
+
+def _input_commands(path) -> dict:
+    """Each command's argv that reads ``path`` as its input file, before any other input."""
+    return {
+        "verify": ["verify", "--dataset", str(path)],
+        "report": ["report", "--rows", str(path)],
+        "gen-dataset": ["gen-dataset", "--graph", str(path), "--seed", "1", "--out", str(path.parent / "d.jsonl")],
+        "eval --dataset": ["eval", "--dataset", str(path), "--technique", "direct", "--mock", "oracle"],
+        "eval --config": ["eval", "--dataset", str(path), "--technique", "direct", "--mock", "oracle",
+                          "--config", str(path)],
+        "confidence": ["confidence", "--input", str(path), "--mock", "oracle"],
+    }
+
+
+# contents no reader can hold: an integer past int()'s 4,300 digits, nesting past the recursion limit, non-UTF-8
+UNREADABLE = {
+    "long-integer": b'{"s": ' + b"7" * 4301 + b"}\n",
+    "deep-nesting": b"[" * 100_000 + b"\n",
+    "not-utf-8": b'{"s": "\xff"}\n',
+}
+
+
+class TestUnreadableInputFiles:
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+    @pytest.mark.parametrize(
+        "command", ["verify", "report", "gen-dataset", "eval --dataset", "eval --config", "confidence"]
+    )
+    def test_is_an_error_line(self, workspace, capsys, command, content):
+        path = workspace / "input.jsonl"
+        path.write_bytes(content)
+        assert run_cli(*_input_commands(path)[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # lines of arbitrary bytes, integers about int()'s limit, nesting about the recursion limit, and any JSON value
+    LINES = st.one_of(
+        st.binary(max_size=24),
+        st.integers(4295, 4305).map(lambda n: b"[" + b"7" * n + b"]"),
+        st.builds(lambda opener, n: opener * n, st.sampled_from([b"[", b'{"a":']), st.sampled_from([10, 5000, 100_000])),
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=6),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+            max_leaves=6,
+        ).map(lambda value: json.dumps(value).encode()),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(LINES, min_size=1, max_size=3))
+    def test_any_content_ends_in_an_exit_code(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("input") / "input.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        commands = _input_commands(path)
+        for command in ("verify", "report", "gen-dataset"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli(*commands[command]) in (0, 1)

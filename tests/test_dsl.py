@@ -292,7 +292,7 @@ class TestExecute:
         )
         program = parse(decls + "\ncall timeline(E1, R1, *)")
         result = execute(program)
-        assert result.value == Answer.entity_list(["E2", "E3", "E4"])
+        assert result.value == Answer("entity_list", ["E2", "E3", "E4"])
         assert result.graph == fixture_a
 
     def test_step_limit_zero_always_rejects(self, fixture_a):
@@ -459,7 +459,7 @@ class TestBooleanLiterals:
         g = TKG([Fact("E1", "R1", "E2", 2000, 2005), Fact("E1", "R1", "E3", 2003, 2008)])
         fn_call = FunctionCall("calculate_total_relation_time", {"s": "E1", "r": "R1", "merge_overlaps": merge})
         assert call_to_dsl(fn_call).endswith(f"(E1, R1, *, {'true' if merge else 'false'})")
-        assert execute(parse(call_to_dsl(fn_call)), g).value == dispatch(g, fn_call) == Answer.duration(8 if merge else 10)
+        assert execute(parse(call_to_dsl(fn_call)), g).value == dispatch(g, fn_call) == Answer("duration", 8 if merge else 10)
 
     def test_ids_elsewhere_are_unchanged(self):
         program = parse("fact(true, R1, false, 2000, 2005)\nfacts(true, R1, *) |> objects")

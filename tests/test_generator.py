@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from tkgqa.errors import InfeasibleParamsError, ParseError, UnsatisfiableTypeError
+from tkgqa.errors import InfeasibleParamsError, ParseError, TkgqaError, UnsatisfiableTypeError
 from tkgqa.generator import (
     GraphParams,
     QUESTION_TYPES,
@@ -115,7 +115,7 @@ class TestInstances:
     def test_corrupted_gold_fails_verification(self):
         g = generate_graph(GraphParams(seed=4, n_facts=100))
         inst = generate_instances(g, per_type=1, types=["relation_duration"], seed=4)[0]
-        inst.gold = Answer.duration(inst.gold.value + 1)
+        inst.gold = Answer("duration", inst.gold.value + 1)
         assert not verify_instance(inst)
 
     def test_verification_deterministic(self):
@@ -296,6 +296,13 @@ def test_sampling_output_pinned():
         record = [inst.id, inst.question_text, inst.gold.to_json(), inst.canonical_call.to_json()]
         digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "538c1c1677a4f212ba5fc4541488385992185ebe733567116f053e4871281feb"
+
+
+def test_a_graph_with_no_facts_supports_no_question():
+    rng = random.Random(0)
+    assert all(sample_call(rng, TKG(), qtype) is None for qtype in QUESTION_TYPES)
+    with pytest.raises(TkgqaError, match="no facts"):
+        generate_instances(TKG(), per_type=1)
 
 
 def test_sample_call_produces_valid_calls():

@@ -178,24 +178,24 @@ class TestFirstJsonObject:
 
 class TestCoerceAnswer:
     def test_entity(self):
-        assert coerce_answer("entity", " E2 ") == Answer.entity("E2")
+        assert coerce_answer("entity", " E2 ") == Answer("entity", "E2")
 
     def test_entity_list(self):
-        assert coerce_answer("entity_list", ["E2", "E3"]) == Answer.entity_list(["E2", "E3"])
-        assert coerce_answer("entity_list", "E2") == Answer.entity_list(["E2"])
+        assert coerce_answer("entity_list", ["E2", "E3"]) == Answer("entity_list", ["E2", "E3"])
+        assert coerce_answer("entity_list", "E2") == Answer("entity_list", ["E2"])
 
     def test_boolean_synonyms(self):
-        assert coerce_answer("boolean", "Yes") == Answer.boolean(True)
-        assert coerce_answer("boolean", "no") == Answer.boolean(False)
-        assert coerce_answer("boolean", True) == Answer.boolean(True)
+        assert coerce_answer("boolean", "Yes") == Answer("boolean", True)
+        assert coerce_answer("boolean", "no") == Answer("boolean", False)
+        assert coerce_answer("boolean", True) == Answer("boolean", True)
 
     def test_integers(self):
-        assert coerce_answer("count", "4") == Answer.count(4)
-        assert coerce_answer("duration", 7.0) == Answer.duration(7)
-        assert coerce_answer("time_point", 2004) == Answer.time_point(2004)
+        assert coerce_answer("count", "4") == Answer("count", 4)
+        assert coerce_answer("duration", 7.0) == Answer("duration", 7)
+        assert coerce_answer("time_point", 2004) == Answer("time_point", 2004)
 
     def test_interval(self):
-        assert coerce_answer("time_interval", [2000, 2005]) == Answer.time_interval((2000, 2005))
+        assert coerce_answer("time_interval", [2000, 2005]) == Answer("time_interval", (2000, 2005))
 
     def test_uncoercible(self):
         assert coerce_answer("count", "many") is None
@@ -236,6 +236,11 @@ class TestScriptedMock:
         client = ScriptedMockClient({"hello": "hi"})
         with pytest.raises(ScriptExhaustedError):
             client.complete([{"role": "user", "content": "nope"}])
+
+    @pytest.mark.parametrize("script", [["a", 5], [None], {"": 5}, {"x": ["a"]}, {1: "a"}])
+    def test_non_string_reply_or_pattern_rejected(self, script):
+        with pytest.raises(ClientError, match="must be strings"):
+            ScriptedMockClient(script)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "script.json"

@@ -36,31 +36,31 @@ def row(**overrides) -> ScoredRow:
 
 class TestScore:
     def test_entity_normalization(self):
-        assert score(Answer.entity(" e2 "), Answer.entity("E2"), "first_last")
+        assert score(Answer("entity", " e2 "), Answer("entity", "E2"), "first_last")
 
     def test_ordered_list_types(self):
-        pred = Answer.entity_list(["E3", "E2"])
-        gold = Answer.entity_list(["E2", "E3"])
+        pred = Answer("entity_list", ["E3", "E2"])
+        gold = Answer("entity_list", ["E2", "E3"])
         assert not score(pred, gold, "timeline")
         assert not score(pred, gold, "get_entities_in_between")
         assert score(pred, gold, "event_at_time_t")  # set comparison elsewhere
 
     def test_kind_mismatch_false(self):
-        assert not score(Answer.count(3), Answer.duration(3), "relation_duration")
+        assert not score(Answer("count", 3), Answer("duration", 3), "relation_duration")
 
     def test_interval_pairwise(self):
-        assert score(Answer.time_interval((2000, 2005)), Answer.time_interval((2000, 2005)), "event_at_what_time")
-        assert not score(Answer.time_interval((2000, 2006)), Answer.time_interval((2000, 2005)), "event_at_what_time")
+        assert score(Answer("time_interval", (2000, 2005)), Answer("time_interval", (2000, 2005)), "event_at_what_time")
+        assert not score(Answer("time_interval", (2000, 2006)), Answer("time_interval", (2000, 2005)), "event_at_what_time")
 
     def test_none_false(self):
-        assert not score(None, Answer.count(1), "timeline")
+        assert not score(None, Answer("count", 1), "timeline")
 
     def test_pipeline_result_raw_fallback(self):
         # the run coerces raw_answer once; a result without an answer scores false
         result = PipelineResult(technique="direct", instance_id="x", raw_answer="4")
-        assert not score(result, Answer.count(4), "number_of_events_in_time_interval")
-        result.answer = Answer.count(4)
-        assert score(result, Answer.count(4), "number_of_events_in_time_interval")
+        assert not score(result, Answer("count", 4), "number_of_events_in_time_interval")
+        result.answer = Answer("count", 4)
+        assert score(result, Answer("count", 4), "number_of_events_in_time_interval")
 
     def test_self_match_over_generated_instances(self):
         g = generate_graph(GraphParams(seed=3, n_facts=80))

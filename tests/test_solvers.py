@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import random
@@ -16,7 +17,7 @@ from tkgqa.errors import (
 from tkgqa.generator import sample_call
 from tkgqa.graph import TKG
 from tkgqa.oracle import oracle_answer
-from tkgqa import solvers
+from tkgqa import pipelines, solvers
 from tkgqa.solvers import dispatch, function_names, function_spec, function_specs, schema_bundle
 
 from conftest import random_graph
@@ -30,70 +31,70 @@ def call(name, **arguments):
 # recomputed by the brute-force oracle, then asserted against dispatch, so a
 # regression in either path fails loudly.
 GOLDEN = [
-    (call("timeline", s="E1", r="R1", o="*"), Answer.entity_list(["E2", "E3", "E4"])),
-    (call("timeline", s="*", r="R1", o="E2"), Answer.entity_list(["E1", "E5", "E7"])),
-    (call("before_after", s="E1", r="R1", o="*", pivot="E3", direction="before"), Answer.entity("E2")),
-    (call("before_after", s="E1", r="R1", o="*", pivot="E3", direction="after"), Answer.entity("E4")),
-    (call("event_at_time_t", s="*", r="R1", o="E2", t=2002), Answer.entity_list(["E1", "E5"])),
-    (call("event_at_time_t", s="*", r="R1", o="E2", t=2010), Answer.entity_list(["E7"])),
-    (call("event_at_time_t", s="*", r="R1", o="E2", t=1990), Answer.entity_list([])),
-    (call("event_at_what_time", s="E1", r="R1", o="E3", endpoint="interval"), Answer.time_interval((2006, 2010))),
-    (call("event_at_what_time", s="E1", r="R1", o="E3", endpoint="end"), Answer.time_point(2010)),
-    (call("first_last", s="E1", r="R1", o="*", which="first"), Answer.entity("E2")),
-    (call("first_last", s="E1", r="R1", o="*", which="last"), Answer.entity("E4")),
+    (call("timeline", s="E1", r="R1", o="*"), Answer("entity_list", ["E2", "E3", "E4"])),
+    (call("timeline", s="*", r="R1", o="E2"), Answer("entity_list", ["E1", "E5", "E7"])),
+    (call("before_after", s="E1", r="R1", o="*", pivot="E3", direction="before"), Answer("entity", "E2")),
+    (call("before_after", s="E1", r="R1", o="*", pivot="E3", direction="after"), Answer("entity", "E4")),
+    (call("event_at_time_t", s="*", r="R1", o="E2", t=2002), Answer("entity_list", ["E1", "E5"])),
+    (call("event_at_time_t", s="*", r="R1", o="E2", t=2010), Answer("entity_list", ["E7"])),
+    (call("event_at_time_t", s="*", r="R1", o="E2", t=1990), Answer("entity_list", [])),
+    (call("event_at_what_time", s="E1", r="R1", o="E3", endpoint="interval"), Answer("time_interval", (2006, 2010))),
+    (call("event_at_what_time", s="E1", r="R1", o="E3", endpoint="end"), Answer("time_point", 2010)),
+    (call("first_last", s="E1", r="R1", o="*", which="first"), Answer("entity", "E2")),
+    (call("first_last", s="E1", r="R1", o="*", which="last"), Answer("entity", "E4")),
     (
         call("event_at_the_time_of_another_event", anchor=["E1", "R1", "E3"], anchor_point="start", s="E1", r="R2", o="*"),
-        Answer.entity_list(["E6"]),
+        Answer("entity_list", ["E6"]),
     ),
     (
         call("event_at_the_time_of_another_event", anchor=["E1", "R1", "E2"], anchor_point="start", s="E1", r="R2", o="*"),
-        Answer.entity_list([]),
+        Answer("entity_list", []),
     ),
-    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[2000, 2011]), Answer.count(2)),
-    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[1900, 2100]), Answer.count(3)),
-    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[1900, 1950]), Answer.count(0)),
-    (call("relation_duration", s="E1", r="R1", o="E3"), Answer.duration(4)),
-    (call("relation_duration", s="E1", r="R1", o="E2", occurrence=1), Answer.duration(5)),
-    (call("get_entity_by_duration", s="E1", r="R1", o="*", mode="longest"), Answer.entity("E4")),
-    (call("get_entity_by_duration", s="E1", r="R1", o="*", mode="shortest"), Answer.entity("E3")),
+    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[2000, 2011]), Answer("count", 2)),
+    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[1900, 2100]), Answer("count", 3)),
+    (call("number_of_events_in_time_interval", s="E1", r="R1", o="*", window=[1900, 1950]), Answer("count", 0)),
+    (call("relation_duration", s="E1", r="R1", o="E3"), Answer("duration", 4)),
+    (call("relation_duration", s="E1", r="R1", o="E2", occurrence=1), Answer("duration", 5)),
+    (call("get_entity_by_duration", s="E1", r="R1", o="*", mode="longest"), Answer("entity", "E4")),
+    (call("get_entity_by_duration", s="E1", r="R1", o="*", mode="shortest"), Answer("entity", "E3")),
     (
         call("find_entities_during_triplet", anchor=["E1", "R1", "E2"], s="*", r="R1", o="E2"),
-        Answer.entity_list(["E5", "E7"]),
+        Answer("entity_list", ["E5", "E7"]),
     ),
     (
         call("find_entities_during_triplet", anchor=["E1", "R1", "E4"], s="*", r="R1", o="E2"),
-        Answer.entity_list(["E7"]),
+        Answer("entity_list", ["E7"]),
     ),
     (
         call("find_entities_during_triplet", anchor=["E1", "R2", "E6"], s="*", r="R1", o="E4"),
-        Answer.entity_list([]),  # anchor interval disjoint from every query fact
+        Answer("entity_list", []),  # anchor interval disjoint from every query fact
     ),
-    (call("get_entities_in_between", s="E1", r="R1", o="*", from_entity="E2", to_entity="E4"), Answer.entity_list(["E3"])),
-    (call("get_entities_in_between", s="E1", r="R1", o="*", from_entity="E2", to_entity="E3"), Answer.entity_list([])),
-    (call("calculate_total_relation_time", s="E1", r="R1", o="*"), Answer.duration(17)),
-    (call("calculate_total_relation_time", s="*", r="R1", o="E2"), Answer.duration(12)),
-    (call("calculate_total_relation_time", s="E1", r="R2", o="E6"), Answer.duration(4)),
-    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[1999, 2006]), Answer.boolean(True)),
-    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[2001, 2006]), Answer.boolean(False)),
-    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[2000, 2005]), Answer.boolean(True)),
-    (call("check_interval_without_relation", s="E1", r="R1", o="*", window=[2000, 2020], min_gap=2), Answer.boolean(False)),
-    (call("check_interval_without_relation", s="E1", r="R1", o="*", window=[2000, 2020], min_gap=1), Answer.boolean(True)),
-    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E4"], op="longer"), Answer.boolean(False)),
-    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E4"], op="shorter"), Answer.boolean(True)),
-    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E2"], op="longer"), Answer.boolean(False)),
-    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E2"], op="shorter"), Answer.boolean(False)),
+    (call("get_entities_in_between", s="E1", r="R1", o="*", from_entity="E2", to_entity="E4"), Answer("entity_list", ["E3"])),
+    (call("get_entities_in_between", s="E1", r="R1", o="*", from_entity="E2", to_entity="E3"), Answer("entity_list", [])),
+    (call("calculate_total_relation_time", s="E1", r="R1", o="*"), Answer("duration", 17)),
+    (call("calculate_total_relation_time", s="*", r="R1", o="E2"), Answer("duration", 12)),
+    (call("calculate_total_relation_time", s="E1", r="R2", o="E6"), Answer("duration", 4)),
+    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[1999, 2006]), Answer("boolean", True)),
+    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[2001, 2006]), Answer("boolean", False)),
+    (call("is_triplet_within_timespan", s="E1", r="R1", o="E2", window=[2000, 2005]), Answer("boolean", True)),
+    (call("check_interval_without_relation", s="E1", r="R1", o="*", window=[2000, 2020], min_gap=2), Answer("boolean", False)),
+    (call("check_interval_without_relation", s="E1", r="R1", o="*", window=[2000, 2020], min_gap=1), Answer("boolean", True)),
+    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E4"], op="longer"), Answer("boolean", False)),
+    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E4"], op="shorter"), Answer("boolean", True)),
+    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E2"], op="longer"), Answer("boolean", False)),
+    (call("compare_triplet_durations", first=["E1", "R1", "E2"], second=["E1", "R1", "E2"], op="shorter"), Answer("boolean", False)),
     (
         call("sequence_of_relations_in_interval", s="E1", steps=[["R2", "start"], ["R1", "end"]], window=[2004, 2006]),
-        Answer.boolean(True),
+        Answer("boolean", True),
     ),
     (
         call("sequence_of_relations_in_interval", s="E1", steps=[["R1", "end"], ["R2", "start"]], window=[2004, 2005]),
-        Answer.boolean(False),
+        Answer("boolean", False),
     ),
-    (call("sequence_of_relations_in_interval", s="E1", steps=[], window=[2004, 2005]), Answer.boolean(True)),
-    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">=", threshold=4, window=[2000, 2020]), Answer.count(3)),
-    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">", threshold=5, window=[2000, 2020]), Answer.count(1)),
-    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">=", threshold=0, window=[2000, 2020]), Answer.count(3)),
+    (call("sequence_of_relations_in_interval", s="E1", steps=[], window=[2004, 2005]), Answer("boolean", True)),
+    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">=", threshold=4, window=[2000, 2020]), Answer("count", 3)),
+    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">", threshold=5, window=[2000, 2020]), Answer("count", 1)),
+    (call("count_relations_with_duration", s="E1", r="R1", o="*", comparator=">=", threshold=0, window=[2000, 2020]), Answer("count", 3)),
 ]
 
 
@@ -134,7 +135,7 @@ class TestErrors:
         g = TKG([("E1", "R1", "E2", 2000, 2005), ("E1", "R1", "E2", 2007, 2009)])
         with pytest.raises(AmbiguousEpisodeError):
             dispatch(g, call("relation_duration", s="E1", r="R1", o="E2"))
-        assert dispatch(g, call("relation_duration", s="E1", r="R1", o="E2", occurrence=2)) == Answer.duration(2)
+        assert dispatch(g, call("relation_duration", s="E1", r="R1", o="E2", occurrence=2)) == Answer("duration", 2)
 
     def test_occurrence_out_of_range(self, fixture_a):
         with pytest.raises(OccurrenceOutOfRangeError):
@@ -142,7 +143,7 @@ class TestErrors:
 
     def test_empty_window_gap_is_true(self, fixture_a):
         got = dispatch(fixture_a, call("check_interval_without_relation", s="E9", r="R1", o="*", window=[2000, 2010], min_gap=3))
-        assert got == Answer.boolean(True)
+        assert got == Answer("boolean", True)
 
     def test_two_wildcards_rejected(self, fixture_a):
         with pytest.raises(ArgumentTypeError):
@@ -171,12 +172,12 @@ class TestErrors:
     def test_singleton_first_and_last_agree(self, fixture_a):
         first = dispatch(fixture_a, call("first_last", s="E1", r="R2", o="*", which="first"))
         last = dispatch(fixture_a, call("first_last", s="E1", r="R2", o="*", which="last"))
-        assert first == last == Answer.entity("E6")
+        assert first == last == Answer("entity", "E6")
 
     def test_equal_durations_tie_break(self):
         g = TKG([("E1", "R1", "E2", 2000, 2004), ("E1", "R1", "E3", 2006, 2010)])
         got = dispatch(g, call("get_entity_by_duration", s="E1", r="R1", o="*", mode="longest"))
-        assert got == Answer.entity("E2")  # earliest start wins the tie
+        assert got == Answer("entity", "E2")  # earliest start wins the tie
 
 
 class TestSchemaBundle:
@@ -205,6 +206,14 @@ class TestSchemaBundle:
 
     def test_stable_ordering(self):
         assert [e["name"] for e in schema_bundle()] == [e["name"] for e in schema_bundle()]
+
+    def test_schema_text_is_pinned(self):
+        """The exact text cotapi shows the model: a change to any description, example or parameter shows here."""
+        text = pipelines._schema_text()
+        assert len(text) == 20486
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "2c8ed8c3c07d371b47106ac2bf7ed9396d8c591ef4b4b578e34fc99824589815"
+        )
 
 
 def test_schema_dispatch_closed_world():
@@ -301,8 +310,8 @@ class TestDeterminism:
 def test_merge_flag_sums_raw_durations(fixture_a):
     merged = dispatch(fixture_a, call("calculate_total_relation_time", s="*", r="R1", o="E2"))
     raw = dispatch(fixture_a, call("calculate_total_relation_time", s="*", r="R1", o="E2", merge_overlaps=False))
-    assert merged == Answer.duration(12)
-    assert raw == Answer.duration(5 + 2 + 9)
+    assert merged == Answer("duration", 12)
+    assert raw == Answer("duration", 5 + 2 + 9)
 
 
 def test_solver_functions_importable_directly(fixture_a):
