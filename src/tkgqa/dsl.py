@@ -186,11 +186,12 @@ MAX_VALUE_DEPTH = 32  # nesting of (...) and [...] in call arguments
 
 
 class _LineParser:
-    def __init__(self, toks: list[_Tok], line_no: int, known_vars: set[str]):
+    def __init__(self, toks: list[_Tok], line_no: int, known_vars: set[str], share):
         self.toks = toks
         self.i = 0
         self.line_no = line_no
         self.vars = known_vars
+        self.share = share
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -262,7 +263,7 @@ class _LineParser:
         t1 = self.integer()
         self.expect("punct", ")")
         self.expect("eol")
-        return Fact(s, r, o, t0, t1)
+        return _shared_fact(self.share, s, r, o, t0, t1)
 
     def let_binding(self) -> Let:
         self.expect("ident", "let")
@@ -367,26 +368,31 @@ class _LineParser:
         self.fail(f"bad value {tok.text or 'end of line'!r}")
 
 
+def _shared_fact(share, s: str, r: str, o: str, t0: int, t1: int) -> Fact:
+    """The declared fact from ``share``'s object for each value; tuple.__new__ skips Fact's Python-level __new__."""
+    return tuple.__new__(Fact, (share(s, s), share(r, r), share(o, o), share(t0, t0), share(t1, t1)))
+
+
 def parse(source: str) -> Program:
     """Parse tqdsl source; raises on the first error with line/column.
 
     A ``fact(...)`` line takes a one-regex fast path; it gives the same
     declaration, and any line it does not match the same error, as the
     general line parser.  A matched line whose time is too long for int()
-    also goes to the general parser, which reports it.
+    also goes to the general parser, which reports it.  Both paths build each
+    declaration from the parse's one object per distinct name and year.
     """
     statements = []
     append = statements.append
     known_vars: set[str] = set()
+    share = {}.setdefault
     last_line = 0
     lines = source.splitlines()
-    # tuple.__new__ skips Fact's Python-level __new__; the result is the same Fact
-    new_fact = tuple.__new__
     for line_no, (line, m) in enumerate(zip(lines, map(_FACT_LINE_RE.fullmatch, lines)), start=1):
         if m is not None:
             s, r, o, t0, t1 = m.groups()
             try:
-                append(new_fact(Fact, (s, r, o, int(t0), int(t1))))
+                append(_shared_fact(share, s, r, o, int(t0), int(t1)))
             except ValueError:
                 pass
             else:
@@ -394,7 +400,7 @@ def parse(source: str) -> Program:
                 continue
         if not line.strip():
             continue
-        append(_LineParser(_tokenize(line, line_no), line_no, known_vars).statement())
+        append(_LineParser(_tokenize(line, line_no), line_no, known_vars, share).statement())
         last_line = line_no
     if not statements:
         raise DslSyntaxError("empty program", max(last_line, 1), 1)

@@ -35,7 +35,7 @@ from .errors import (
 from .graph import Fact, TKG, load_tkg, read_jsonl, render_text, write_jsonl
 from .oracle import oracle_answer
 from .primitives import sort_facts
-from .solvers import dispatch, function_names
+from .solvers import check_call, dispatch, function_names
 
 __all__ = [
     "GraphParams",
@@ -807,7 +807,8 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at) -> Ta
     try:
         gold = Answer.from_json(obj["gold"])
         call = FunctionCall.from_json(obj["canonical_call"])
-    except (ValueError, TypeError) as exc:
+        check_call(call)  # the oracle takes the arguments as they are written
+    except (ValueError, TypeError, TkgqaError) as exc:
         raise ParseError(line_no, str(exc)) from exc
     return TaskInstance(
         id=str(obj["id"]),

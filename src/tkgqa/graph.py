@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -218,17 +219,21 @@ def read_jsonl(source: str | Path | IO[str]) -> Iterator[tuple[int, dict]]:
             yield from read_jsonl(lines)
         return
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:  # an integer too long for int(), or nesting too deep
-            raise ParseError(line_no, f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError(line_no, "line is not a JSON object")
-        yield line_no, obj
+        if line.strip():
+            yield line_no, _json_object(line_no, line)
+
+
+def _json_object(line_no: int, line: str) -> dict:
+    """The JSON object on file line ``line_no``; :class:`ParseError` if the line holds none."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), or nesting too deep
+        raise ParseError(line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "line is not a JSON object")
+    return obj
 
 
 def write_jsonl(lines: Iterable[str], sink: str | Path | IO[str]) -> None:
@@ -244,6 +249,12 @@ def write_jsonl(lines: Iterable[str], sink: str | Path | IO[str]) -> None:
 # fact files: keys exactly s, r, o, t0, t1
 
 _FACT_KEYS = {"s", "r", "o", "t0", "t1"}
+
+# A whole line as save_tkg writes it, with names that need no unescaping and
+# years in JSON's integer grammar: json.loads reads such a line to the same fields.
+_NAME = r'"([^"\\\x00-\x1f]+)"'
+_YEAR = r"(-?(?:0|[1-9][0-9]{0,17}))"  # at most 18 digits, which int() always converts
+_FACT_LINE_RE = re.compile(rf'\{{"s": {_NAME}, "r": {_NAME}, "o": {_NAME}, "t0": {_YEAR}, "t1": {_YEAR}\}}\n?')
 
 
 def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
@@ -263,16 +274,26 @@ def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
 def load_tkg(source: str | Path | IO[str]) -> TKG:
     """Parse a fact file written by :func:`save_tkg`; order is significant.
 
-    Field errors are reported as :class:`ParseError` with the file line.
+    A line as :func:`save_tkg` writes it is read by one regex and any other as
+    JSON, to the same fields; field errors are :class:`ParseError` with the file line.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as lines:
+            return load_tkg(lines)
     line_no = 0
 
     def facts() -> Iterator[tuple]:
         nonlocal line_no
-        for line_no, obj in read_jsonl(source):
-            if obj.keys() != _FACT_KEYS:
-                raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
-            yield obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]
+        for line_no, line in enumerate(source, start=1):
+            m = _FACT_LINE_RE.fullmatch(line)
+            if m is not None:
+                s, r, o, t0, t1 = m.groups()
+                yield s, r, o, int(t0), int(t1)
+            elif line.strip():
+                obj = _json_object(line_no, line)
+                if obj.keys() != _FACT_KEYS:
+                    raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
+                yield obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]
 
     # TKG checks each fact as it is read, so line_no is the line of a rejected fact
     try:

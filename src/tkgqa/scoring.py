@@ -79,6 +79,7 @@ class ScoredRow:
     token_estimate: int
     parse_error: bool = False
     function_calls: tuple = ()  # (name, associated) pairs
+    MAX_WALL_TIME = 1e9  # seconds; a row read from a file takes less, so sums over rows stay finite
 
     def to_json(self) -> dict:
         return {
@@ -95,12 +96,15 @@ class ScoredRow:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScoredRow":
+        wall_time = float(obj["wall_time"])
+        if not 0 <= wall_time < cls.MAX_WALL_TIME:  # also false for nan
+            raise ValueError(f"wall_time must be at least 0 and below {cls.MAX_WALL_TIME:g} s, got {wall_time!r}")
         return cls(
             instance_id=str(obj["instance_id"]),
             question_type=str(obj["question_type"]),
             technique=str(obj["technique"]),
             correct=bool(obj["correct"]),
-            wall_time=float(obj["wall_time"]),
+            wall_time=wall_time,
             llm_calls=int(obj["llm_calls"]),
             token_estimate=int(obj["token_estimate"]),
             parse_error=bool(obj.get("parse_error", False)),

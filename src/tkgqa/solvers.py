@@ -52,6 +52,7 @@ __all__ = [
     "function_spec",
     "function_specs",
     "schema_bundle",
+    "check_call",
     "dispatch",
     # the seventeen solvers
     "timeline",
@@ -850,8 +851,7 @@ def _norm_interval(name: str, value) -> tuple[int, int]:
 def _norm_triplet(name: str, value) -> tuple[str, str, str]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ArgumentTypeError(f"parameter {name!r} must be an [s, r, o] triplet, got {value!r}")
-    items = tuple(_norm_token(name, v, required=True) for v in value)
-    return items  # type: ignore[return-value]
+    return tuple(_norm_token(name, v, required=True) for v in value)  # type: ignore[return-value]
 
 
 def _norm_steps(name: str, value) -> list[tuple[str, str]]:
@@ -899,21 +899,24 @@ def _answer_from(kind: str, value) -> Answer:
     return Answer(kind, value)
 
 
-def dispatch(g: TKG, call: FunctionCall) -> Answer:
-    """Validate a call against its schema and run it, returning a tagged answer."""
+def check_call(call: FunctionCall) -> dict:
+    """The keyword arguments of ``call``, checked against its function's schema; raises why they do not fit."""
     spec = function_spec(call.name)
-    params = {p.name: p for p in spec.use_guide}
-    unknown = set(call.arguments) - set(params)
+    unknown = set(call.arguments) - {p.name for p in spec.use_guide}
     if unknown:
         raise ArgumentTypeError(f"{call.name}: unknown parameters {sorted(unknown)}")
     kwargs = {}
     for param in spec.use_guide:
         if param.name in call.arguments:
             value = _normalize_argument(param, call.arguments[param.name])
-            if value is None:
-                continue  # explicit wildcard behaves like an omitted optional
-            kwargs[param.name] = value
+            if value is not None:  # an explicit wildcard behaves like an omitted optional
+                kwargs[param.name] = value
         elif param.required:
             raise ArgumentTypeError(f"{call.name}: missing required parameter {param.name!r}")
-    result = spec.logic(g, **kwargs)
-    return _answer_from(spec.answer_kind, result)
+    return kwargs
+
+
+def dispatch(g: TKG, call: FunctionCall) -> Answer:
+    """Validate a call against its schema and run it, returning a tagged answer."""
+    spec = function_spec(call.name)
+    return _answer_from(spec.answer_kind, spec.logic(g, **check_call(call)))

@@ -21,6 +21,7 @@ from tkgqa.cli import build_parser, load_config, main
 from tkgqa.errors import ClientError
 from tkgqa.generator import import_instances
 from tkgqa.pipelines import expand_transcripts
+from tkgqa.solvers import function_specs
 
 
 def run_cli(*argv) -> int:
@@ -182,6 +183,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and "render_seed" in err and reason in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("x", 1), ("window", 5), ("steps", [1]), ("first", 3),
+                                            ("window", [1]), ("t", "x")])
+    def test_malformed_canonical_call_is_a_line_error(self, workspace, capsys, key, value):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        lines = dataset.read_text().splitlines()
+        # the first line whose call takes ``key``; an extra argument goes on the first line
+        line_no, obj = next((i, obj) for i, obj in enumerate(map(json.loads, lines), start=1)
+                            if key == "x" or key in obj["canonical_call"]["arguments"])
+        obj["canonical_call"]["arguments"][key] = value
+        lines[line_no - 1] = json.dumps(obj, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: ") and err.count("\n") == 1
 
 
 class TestEval:
@@ -494,6 +511,28 @@ class TestEval:
         assert capsys.readouterr().err == "error: mock script replies and patterns must be strings\n"
 
 
+class TestReport:
+    ROW = {"instance_id": "q1", "question_type": "timeline", "technique": "direct", "correct": True,
+           "wall_time": 0.5, "llm_calls": 1, "token_estimate": 10}
+
+    @pytest.mark.parametrize("wall_times", [["Infinity"], ["NaN"], ["1e308", "1e308"], ["-1"], ["1e9"]])
+    def test_bad_wall_time_is_a_line_error(self, workspace, capsys, wall_times):
+        rows = workspace / "rows.jsonl"
+        good = json.dumps(self.ROW)
+        # json.dumps writes the float tokens Infinity and NaN as they are spelled here
+        rows.write_text("".join(f"{good}\n" + good.replace('"wall_time": 0.5', f'"wall_time": {w}') + "\n"
+                                for w in wall_times))
+        assert run_cli("report", "--rows", str(rows)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: bad scored row: wall_time must be") and err.count("\n") == 1
+
+    def test_wall_time_just_below_the_cap_is_read(self, workspace, capsys):
+        rows = workspace / "rows.jsonl"
+        rows.write_text(json.dumps(dict(self.ROW, wall_time=999_999_999.9)) + "\n" + json.dumps(self.ROW) + "\n")
+        assert run_cli("report", "--rows", str(rows), "--format", "csv") == 0
+        assert "direct,100.0" in capsys.readouterr().out
+
+
 class TestBinWidth:
     @pytest.mark.parametrize("width", ["-5", "0", "wide"])
     def test_report_rejects_non_positive(self, workspace, capsys, width):
@@ -676,6 +715,23 @@ def _input_commands(path) -> dict:
     }
 
 
+# one line of each question type over an inline 60-fact graph
+_DATASET_OBJECTS = [
+    inst.to_json() for inst in tkgqa.generator.generate_instances(
+        tkgqa.generator.generate_graph(tkgqa.generator.GraphParams(seed=7, n_entities=20, n_relations=4, n_facts=60)),
+        per_type=1, seed=3,
+    )
+]
+_PARAM_NAMES = sorted({p.name for spec in function_specs() for p in spec.use_guide})
+
+
+def _with_arguments(obj: dict, arguments: dict) -> bytes:
+    """The dataset line ``obj`` with ``arguments`` set in its canonical call."""
+    call = obj["canonical_call"]
+    call = dict(call, arguments=dict(call["arguments"], **arguments))
+    return json.dumps(dict(obj, canonical_call=call)).encode()
+
+
 # contents no reader can hold: an integer past int()'s 4,300 digits, nesting past the recursion limit, non-UTF-8
 UNREADABLE = {
     "long-integer": b'{"s": ' + b"7" * 4301 + b"}\n",
@@ -696,20 +752,30 @@ class TestUnreadableInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    )
     # lines of arbitrary bytes, integers about int()'s limit, nesting about the recursion limit, and any JSON value
     LINES = st.one_of(
         st.binary(max_size=24),
         st.integers(4295, 4305).map(lambda n: b"[" + b"7" * n + b"]"),
         st.builds(lambda opener, n: opener * n, st.sampled_from([b"[", b'{"a":']), st.sampled_from([10, 5000, 100_000])),
-        st.recursive(
-            st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=6),
-            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-            max_leaves=6,
-        ).map(lambda value: json.dumps(value).encode()),
+        JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     )
+    # a dataset line with any JSON value for any of its call's arguments, known or not
+    DATASET_LINES = st.builds(
+        _with_arguments,
+        st.sampled_from(_DATASET_OBJECTS),
+        st.dictionaries(st.sampled_from(_PARAM_NAMES) | st.text(max_size=6), JSON_VALUES, max_size=3),
+    )
+    # a scored row with any float for its wall_time, inf, nan and huge ones included
+    ROW_LINES = st.floats().map(lambda w: json.dumps(dict(TestReport.ROW, wall_time=w)).encode())
 
     @settings(max_examples=100, deadline=None)
-    @given(lines=st.lists(LINES, min_size=1, max_size=3))
+    @given(lines=st.lists(LINES | DATASET_LINES | ROW_LINES, min_size=1, max_size=3)
+           | st.lists(DATASET_LINES, min_size=1, max_size=3) | st.lists(ROW_LINES, min_size=1, max_size=3))
     def test_any_content_ends_in_an_exit_code(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("input") / "input.jsonl"
         path.write_bytes(b"\n".join(lines))

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -27,7 +28,7 @@ from tkgqa.errors import (
     UnknownIdentifierError,
 )
 from tkgqa.graph import TKG, Fact
-from tkgqa.generator import QUESTION_TYPES, sample_call
+from tkgqa.generator import QUESTION_TYPES, GraphParams, generate_graph, sample_call
 from tkgqa.pipelines import _structuring_program, call_to_dsl
 from tkgqa.solvers import dispatch, function_specs
 from conftest import random_graph
@@ -248,6 +249,28 @@ class TestFactLineFastPath:
         program = parse(_structuring_program(random_graph(4, n_facts=50)))
         graph = execute(program).graph
         assert all(kept is declared for kept, declared in zip(graph.facts, program.fact_decls, strict=True))
+
+    @pytest.mark.parametrize("outcome", [_outcome, _general_outcome], ids=["fast", "general"])
+    def test_declarations_share_each_name_and_year(self, outcome):
+        source = _structuring_program(random_graph(3, n_facts=60))
+        decls, _ = outcome(source)
+        values = [value for decl in decls if isinstance(decl, Fact) for value in decl]
+        assert len({id(value) for value in values}) == len(set(values)) < len(values)
+
+    def test_restated_20k_fact_graph_keeps_under_150_bytes_per_fact(self):
+        g = generate_graph(GraphParams(seed=7, n_entities=1000, n_relations=20, n_facts=20_000))
+        source = _structuring_program(g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            restated = execute(parse(source)).graph
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert restated == g
+        values = [value for f in restated.facts for value in f]
+        assert len({id(value) for value in values}) == len(set(values))
+        assert kept / len(g) < 150, kept / len(g)
 
     def test_overlong_time_is_the_general_parsers_syntax_error(self):
         for time in (_LONG_INT, "-" + _LONG_INT):

@@ -17,6 +17,7 @@ from tkgqa.graph import (
     Interval,
     TKG,
     load_tkg,
+    read_jsonl,
     render_text,
     save_tkg,
 )
@@ -326,17 +327,106 @@ class TestSerialization:
         assert load_tkg(io.StringIO(buf.getvalue())) == g
 
 
+N_FACTS = 20_000
+
+
+@pytest.fixture(scope="module")
+def fact_file(tmp_path_factory):
+    """A 20,000-fact graph as save_tkg writes it."""
+    path = tmp_path_factory.mktemp("memory") / "g.jsonl"
+    save_tkg(generate_graph(GraphParams(seed=7, n_entities=1000, n_relations=20, n_facts=N_FACTS)), path)
+    return path
+
+
+def _general_load(source) -> TKG:
+    """load_tkg as every line is read without the fast path: read_jsonl, the key check and TKG."""
+    line_no = 0
+
+    def facts():
+        nonlocal line_no
+        for line_no, obj in read_jsonl(source):
+            if obj.keys() != {"s", "r", "o", "t0", "t1"}:
+                raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
+            yield obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]
+
+    try:
+        return TKG(facts())
+    except InvalidFactError as exc:
+        raise ParseError(line_no, exc.reason) from None
+    except InvalidIntervalError as exc:
+        raise InvalidIntervalError(index=line_no - 1, t0=exc.t0, t1=exc.t1) from None
+
+
+def _load_outcome(load, text: str):
+    """The facts ``load`` reads from ``text``, or its error's type, message, line and index."""
+    try:
+        return load(io.StringIO(text)).facts
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "index", None)
+
+
+_LONG_YEAR = "7" * 4301  # one digit more than int() converts
+# (the save_tkg line, its fields) -> a variant of the line
+_VARIANTS = st.sampled_from([
+    lambda line, f: line,
+    lambda line, f: json.dumps(dict(zip(Fact._fields, f)), separators=(",", ":")),
+    lambda line, f: json.dumps(dict(reversed(list(zip(Fact._fields, f))))),
+    lambda line, f: line.replace(": ", " : ").replace("{", "{ "),
+    lambda line, f: " " + line + "\t",
+    lambda line, f: line + "\r",
+    lambda line, f: json.dumps(dict(zip(Fact._fields, f)), ensure_ascii=False),
+    lambda line, f: line.replace(f'"t0": {f.t0}', '"t0": -0').replace(f'"t1": {f.t1}', '"t1": 0'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', f'"t1": 0{f.t1}'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', f'"t1": {f.t1}.0'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', '"t1": 1e3'),
+    lambda line, f: line.replace(f'"t0": {f.t0}', '"t0": true'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', f'"t1": {_LONG_YEAR}'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', f'"t1": -{_LONG_YEAR}'),
+    lambda line, f: line.replace(f'"t1": {f.t1}', f'"t1": {10**18}'),  # past the fast path's 18 digits
+    lambda line, f: line[:-1] + ', "x": 1}',
+    lambda line, f: line.replace(f', "t1": {f.t1}', ""),
+    lambda line, f: line + " x",
+    lambda line, f: line + "}",
+    lambda line, f: line.replace(f'"t0": {f.t0}, "t1": {f.t1}', f'"t0": {f.t1 + 1}, "t1": {f.t1}'),
+    lambda line, f: line + "\n" + line,
+    lambda line, f: "",
+])
+_NAMES = (
+    st.text(min_size=1, max_size=4)
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "E1"])
+)
+
+
+class TestFactLineFastPath:
+    @given(
+        facts=st.lists(
+            st.tuples(_NAMES, _NAMES, _NAMES, st.integers(-(10**20), 10**20), st.integers(0, 10**6)),
+            max_size=5,
+        ),
+        variants=st.lists(_VARIANTS, min_size=5, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reads_as_the_general_path(self, facts, variants):
+        """save_tkg's lines and variants of them: the same graph, or the same error at the same line."""
+        g = TKG({(s, r, o, t0, t0 + span): None for s, r, o, t0, span in facts})
+        buf = io.StringIO()
+        save_tkg(g, buf)
+        lines = buf.getvalue().splitlines()
+        text = "".join(variant(line, f) + "\n" for line, f, variant in zip(lines, g.facts, variants))
+        for source in (buf.getvalue(), text, text.replace("\n", "\r\n")):
+            assert _load_outcome(load_tkg, source) == _load_outcome(_general_load, source)
+
+    def test_a_save_tkg_file_calls_json_for_no_line(self, fact_file, monkeypatch):
+        decoded = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or real_loads(text, **kw))
+        g = load_tkg(fact_file)
+        assert len(g) == N_FACTS and decoded == []
+        assert g == _general_load(fact_file) and len(decoded) == N_FACTS
+
+
 class TestMemory:
     """tracemalloc's count of what a 20,000-fact graph costs to load and to save."""
-
-    N_FACTS = 20_000
-
-    @pytest.fixture(scope="class")
-    def fact_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("memory") / "g.jsonl"
-        params = GraphParams(seed=7, n_entities=1000, n_relations=20, n_facts=self.N_FACTS)
-        save_tkg(generate_graph(params), path)
-        return path
 
     def test_loaded_graph_keeps_under_150_bytes_per_fact(self, fact_file):
         tracemalloc.start()
@@ -346,7 +436,7 @@ class TestMemory:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(g) == self.N_FACTS
+        assert len(g) == N_FACTS
         assert kept / len(g) < 150, kept / len(g)
 
     def test_save_peak_does_not_grow_with_the_graph(self, fact_file, tmp_path):
@@ -369,7 +459,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(text.splitlines()) == self.N_FACTS
+        assert len(text.splitlines()) == N_FACTS
         assert peak <= 2.5 * sys.getsizeof(text), peak / sys.getsizeof(text)
 
 
