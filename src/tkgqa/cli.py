@@ -215,7 +215,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     workers = _setting(args.parallelism, config, "parallelism")
     rows = []
-    stored = {}  # sha256 of each reply the transcripts hold in full -> its (line, turn)
+    stored = {}  # sha256 of each string the transcripts hold in full -> where it stands
     # each transcript is written in job order as its job finishes; only rows are kept
     with contextlib.ExitStack() as stack:
         transcripts = stack.enter_context(open(args.transcripts, "w", encoding="utf-8")) if args.transcripts else None

@@ -92,6 +92,14 @@ class GraphParams:
             raise InfeasibleParamsError(f"invalid time_range {self.time_range}")
         if self.max_episodes_per_triple < 1:
             raise InfeasibleParamsError("max_episodes_per_triple must be >= 1")
+        # beyond the DSL's fact limit, cote_s and cotapi_s restate no graph.  dsl is imported here, not at
+        # the top: loading it before the modules cli loads first raised each command's peak RSS by 0.3 MB
+        from .dsl import Limits
+
+        if self.n_facts > (most := Limits().max_facts):
+            raise InfeasibleParamsError(
+                f"n_facts must be <= {most:,}, the most a restated graph holds; got {self.n_facts:,}"
+            )
 
 
 def generate_graph(params: GraphParams) -> TKG:
@@ -827,9 +835,16 @@ def import_instances(source: str | Path, base_dir: str | Path | None = None) -> 
     """Load a dataset file; graph paths resolve relative to the file (or base_dir).
 
     Each graph file is loaded once, and its instances share that graph, so
-    they share its text too, rendered when it is first read.
+    they share its text too, rendered when it is first read.  A repeated
+    instance id is a :class:`ParseError`: transcripts and rows name an
+    instance by its id.
     """
     path = Path(source)
     base = Path(base_dir) if base_dir is not None else path.parent
     graph_at = functools.cache(load_tkg)
-    return [_instance_from_json(line_no, obj, base, graph_at) for line_no, obj in read_jsonl(path)]
+    instances, first_line = [], {}
+    for line_no, obj in read_jsonl(path):
+        instances.append(inst := _instance_from_json(line_no, obj, base, graph_at))
+        if (first := first_line.setdefault(inst.id, line_no)) != line_no:
+            raise ParseError(line_no, f"instance id {inst.id!r} repeats line {first}")
+    return instances

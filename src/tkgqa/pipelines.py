@@ -155,22 +155,27 @@ class PipelineResult:
     errors: list = field(default_factory=list)
     parse_error: bool = False
 
-    def transcript_record(self, stored: dict[bytes, tuple[int, int]], line: int) -> dict:
+    def transcript_record(self, stored: dict[bytes, tuple[int, ...]], line: int) -> dict:
         """This result's line of a transcripts file (timings deliberately excluded).
 
         ``line`` is the line's index in the file, and ``stored`` maps the
-        sha256 of each reply the file already holds in full to its
-        ``(line, turn)``; the record adds its own.  Each prompt is written as
-        the turn holds it, without the rendered text and the schema text
-        (:func:`_stored_prompt`), and a reply held earlier becomes a reference
-        to it when that is shorter; :func:`expand_transcripts` undoes both.
+        sha256 of each string the file already holds in full to where it
+        stands; the record adds its own.  Each prompt is written as the turn
+        holds it, without the rendered text and the schema text
+        (:func:`_stored_prompt`), and each of its parts and pieces, then the
+        reply, becomes a reference to a copy held earlier when that is
+        shorter (:func:`_stored`); :func:`expand_transcripts` undoes both.
         """
         return {
             "instance_id": self.instance_id,
             "technique": self.technique,
             "llm_calls": self.llm_calls,
             "transcript": [
-                {**turn, "reply": _stored_reply(turn["reply"], stored, (line, index))}
+                {
+                    **turn,
+                    "prompt": [_stored(part, stored, (line, index, k)) for k, part in enumerate(turn["prompt"])],
+                    "reply": _stored(turn["reply"], stored, (line, index)),
+                }
                 for index, turn in enumerate(self.transcript)
             ],
             "answer": self.answer.to_json() if self.answer is not None else None,
@@ -194,16 +199,21 @@ def _stored_prompt(prompt: str, text: str) -> list:
     ]
 
 
-def _stored_reply(reply: str, stored: dict[bytes, tuple[int, int]], where: tuple[int, int]) -> str | tuple[int, int]:
-    """``reply``, or the ``(line, turn)`` where the file first held it when that is shorter.
+def _stored(value: str | list, stored: dict[bytes, tuple[int, ...]], where: tuple[int, ...]) -> str | tuple | list:
+    """``value`` as a transcripts line stores it: a string, or where the file first held it when that is shorter.
 
-    ``len(reply) + 2`` is the least its JSON encoding can take.
+    ``where`` is ``(line, turn)`` for a reply and ``(line, turn, part)`` for a
+    prompt part; a part split around the schema text is stored piece by piece,
+    at ``(line, turn, part, piece)``.  ``len(value) + 2`` is the least a
+    string's JSON encoding can take.
     """
-    digest = hashlib.sha256(reply.encode("utf-8", "surrogatepass")).digest()
+    if isinstance(value, list):
+        return [_stored(piece, stored, (*where, j)) for j, piece in enumerate(value)]
+    digest = hashlib.sha256(value.encode("utf-8", "surrogatepass")).digest()
     earlier = stored.setdefault(digest, where)
-    if earlier != where and len(json.dumps(earlier)) < len(reply) + 2:
+    if earlier != where and len(json.dumps(earlier)) < len(value) + 2:
         return earlier
-    return reply
+    return value
 
 
 _ANCHOR_CHARS = 64  # the prefix of the text that _split_around searches for
@@ -1036,25 +1046,28 @@ def run(
 def expand_transcripts(records: Iterable[dict], instances: Iterable[TaskInstance]) -> Iterator[dict]:
     """The records of a transcripts file, in file order, each prompt and reply written out in full.
 
-    ``records`` are the file's lines from its first, since a reply may refer
-    to an earlier line, and ``instances`` the dataset it was written from,
+    ``records`` are the file's lines from its first, since a stored string may
+    refer to an earlier line, and ``instances`` the dataset it was written from,
     whose rendered texts the prompts leave out.
     """
     texts = {inst.id: inst.tkg_text for inst in instances}
     schema = _schema_text()
-    replies: list[list[str]] = []  # the replies of each line read so far
-    for record in records:
+    held: dict[tuple[int, ...], str] = {}  # each string written in full so far, by where it stands
+
+    def resolve(value, where: tuple[int, ...]) -> str:
+        if isinstance(value, str):
+            held[where] = value
+            return value
+        if isinstance(value[0], int):  # a reference; a part split around the schema text lists strings and references
+            return held[tuple(value)]
+        return schema.join(resolve(piece, (*where, j)) for j, piece in enumerate(value))
+
+    for line, record in enumerate(records):
         text = texts[record["instance_id"]]
-        replies.append(line_replies := [])
         turns = []
-        for turn in record["transcript"]:
-            reply = turn["reply"]
-            if not isinstance(reply, str):
-                line, index = reply
-                reply = replies[line][index]
-            line_replies.append(reply)
-            prompt = text.join(schema.join(part) if isinstance(part, list) else part for part in turn["prompt"])
-            turns.append({**turn, "prompt": prompt, "reply": reply})
+        for index, turn in enumerate(record["transcript"]):
+            prompt = text.join(resolve(part, (line, index, k)) for k, part in enumerate(turn["prompt"]))
+            turns.append({**turn, "prompt": prompt, "reply": resolve(turn["reply"], (line, index))})
         yield {**record, "transcript": turns}
 
 

@@ -125,6 +125,12 @@ class TestVerify:
         assert run_cli("verify", "--dataset", str(dataset)) == 0
         assert "verified 34/34" in capsys.readouterr().out
 
+    def test_repeated_instance_id_is_a_line_error(self, workspace, capsys):
+        dataset, error = joined_with_itself(workspace)
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == error and "verified" not in captured.out
+
     def test_corrupted_gold_detected(self, workspace, capsys):
         dataset = gen_dataset(workspace, gen_graph(workspace))
         lines = dataset.read_text().strip().splitlines()
@@ -201,7 +207,26 @@ class TestVerify:
         assert err.startswith(f"error: line {line_no}: ") and err.count("\n") == 1
 
 
+def joined_with_itself(workspace):
+    """A dataset file holding a generated dataset twice; the ``error:`` line its second half gives."""
+    dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+    lines = dataset.read_text().splitlines(keepends=True)
+    dataset.write_text("".join(lines * 2))
+    first = json.loads(lines[0])["id"]
+    return dataset, f"error: line {len(lines) + 1}: instance id {first!r} repeats line 1\n"
+
+
 class TestEval:
+    def test_repeated_instance_id_is_a_line_error(self, workspace, capsys):
+        dataset, error = joined_with_itself(workspace)
+        code = run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "direct", "--mock", "oracle",
+            "--rows", "rows.jsonl", "--transcripts", "t.jsonl",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == error
+        assert not (workspace / "rows.jsonl").exists() and not (workspace / "t.jsonl").exists()
+
     def test_oracle_mock_full_marks(self, workspace, capsys):
         dataset = gen_dataset(workspace, gen_graph(workspace))
         code = run_cli(

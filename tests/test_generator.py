@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from tkgqa.dsl import Limits
 from tkgqa.errors import InfeasibleParamsError, ParseError, TkgqaError, UnsatisfiableTypeError
 from tkgqa.generator import (
     GraphParams,
@@ -69,6 +70,13 @@ class TestGraphGeneration:
             GraphParams(seed=1, n_entities=1).validate()
         with pytest.raises(InfeasibleParamsError):
             GraphParams(seed=1, time_range=(2020, 2000)).validate()
+
+    def test_largest_graph_is_the_restatement_limit(self):
+        """More facts than a restated graph may declare would leave cote_s and cotapi_s no graph."""
+        most = Limits().max_facts
+        GraphParams(seed=1, n_entities=1000, n_relations=20, n_facts=most).validate()
+        with pytest.raises(InfeasibleParamsError, match=f"n_facts must be <= {most:,}.*; got {most + 1:,}"):
+            GraphParams(seed=1, n_entities=1000, n_relations=20, n_facts=most + 1).validate()
 
     def test_default_token_target(self):
         g = generate_graph(GraphParams(seed=3))

@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from conftest import stored_strings
 from tkgqa.cli import main
 from tkgqa.generator import GraphParams, generate_graph, import_instances
 from tkgqa.graph import save_tkg
@@ -28,13 +29,13 @@ PINS = {
     "oracle": {
         "rows": "5ad7075ac084c51da7ba5a7621a01b0f59c1fa99410175b3c8d0931b1f155439",
         "report": "cbc965b7da0b9b72e309958cb8c3403d15ed3a1babd97a18606344d5e9a35f62",
-        "transcripts": "ade1941188f2186bb01e1787adf17ad98a8e326db65548bb74615ed8170b64b0",
+        "transcripts": "87555d193219679ab8e34e49a5c7faab602c02a476cd54fec97d104085e369a3",
         "expanded": "44f035b13f9d2488e8779875efaad35783ea103746c07f316bba6fdc2f876672",
     },
     "random": {
         "rows": "e81477875b24a30e126baa11ecee2cb9a108a93397ffb215a8c286c09a4ef565",
         "report": "0cb7181ab88122aa39c2832075fe9f22846e624b5a9a1ffee3d4df7a03567799",
-        "transcripts": "5c88b174af5cc28971c2203ec2cbccb9dce1729881c100897727efde298cb2d6",
+        "transcripts": "afb567f9c28bbcd7f5f63fae5938f1dcfcf39181eaadbde7976c6fd46fdb4ed6",
         "expanded": "6cbb12f741dfa201666b8fc1023650a2d985c58e90fa06e6781c552152bde27b",
     },
 }
@@ -94,6 +95,25 @@ def test_eval_outputs_pinned(chain, mock, capsys):
     # paths of cotapi/cotapi_s, well below the oracle's 100%
     correct = {tech: sum(row["correct"] for row in rows if row["technique"] == tech) for tech in TECHNIQUES}
     assert correct == {**dict.fromkeys(TECHNIQUES, 34), **({"cotapi": 3, "cotapi_s": 3} if mock == "random" else {})}
+
+
+@pytest.mark.parametrize("mock", PINS)
+def test_a_cut_file_still_expands(chain, mock):
+    """References point only backward, so the file cut after any line expands to the same lines."""
+    transcripts = (chain / f"{mock}-transcripts.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in transcripts.splitlines()]
+    instances = import_instances(chain / "dataset.jsonl")
+    whole = list(expand_transcripts(records, instances))
+    for cut in range(len(records) + 1):
+        assert list(expand_transcripts(records[:cut], instances)) == whole[:cut]
+    held, first = {}, {}  # each string held in full by where it stands, and where its first copy stands
+    for where, value in stored_strings(records):
+        if isinstance(value, str):
+            held[where] = value
+            first.setdefault(value, where)
+        else:
+            string = held[tuple(value)]  # strictly backward, to a string held in full
+            assert first[string] == tuple(value) and len(json.dumps(value)) < len(json.dumps(string))
 
 
 def test_graph_over_1000_entities_pinned(tmp_path):

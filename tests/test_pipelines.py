@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import stored_strings
 from tkgqa import graph as graph_module, pipelines
 from tkgqa.answers import Answer, FunctionCall
 from tkgqa.dsl import extract_fenced_source
@@ -76,6 +77,21 @@ class RecordingClient:
 def received(result, client: RecordingClient) -> list[dict]:
     """``result``'s transcript with each prompt as ``client`` received it."""
     return [{**turn, "prompt": prompt} for turn, prompt in zip(result.transcript, client.prompts, strict=True)]
+
+
+def assert_stored_once(records, results):
+    """Each string of ``results``' turns is stored in ``records`` (read back from JSON) in full,
+    or as a reference to its first copy exactly when that is shorter."""
+    full = stored_strings([{"transcript": result.transcript} for result in results])
+    first = {}  # string -> where its first copy stands
+    for (where, value), (same, string) in zip(stored_strings(records), full, strict=True):
+        assert where == same
+        earlier = first.setdefault(string, where)
+        if earlier != where and len(json.dumps(earlier)) < len(string) + 2:
+            assert value == list(earlier)  # backward, to the copy held in full
+            assert len(json.dumps(value)) < len(json.dumps(string))
+        else:
+            assert value == string
 
 
 class TestExtractAnswer:
@@ -729,7 +745,7 @@ class TestTranscriptRecord:
     @staticmethod
     def stored_and_expanded(result, inst):
         record = json.loads(json.dumps(result.transcript_record({}, 0)))
-        assert [turn["prompt"] for turn in record["transcript"]] == [turn["prompt"] for turn in result.transcript]
+        assert_stored_once([record], [result])
         return record, next(expand_transcripts([record], [inst]))["transcript"]
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -739,12 +755,7 @@ class TestTranscriptRecord:
             result = run(inst, technique, client)
             record, expanded = self.stored_and_expanded(result, inst)
             assert expanded == received(result, client)
-            pieces = [
-                piece
-                for turn in record["transcript"]
-                for part in turn["prompt"]
-                for piece in (part if isinstance(part, list) else [part])
-            ]
+            pieces = [value for where, value in stored_strings([record]) if len(where) > 2 and isinstance(value, str)]
             assert not any(inst.tkg_text in piece or pipelines._schema_text() in piece for piece in pieces)
 
     def test_text_echoed_into_later_prompts(self, default_instances):
@@ -972,25 +983,17 @@ class TestTranscriptsFile:
     @pytest.mark.parametrize("size", ["270 facts", "10k facts"])
     def test_every_line_expands_to_its_run(self, default_instances, instances_10k, size):
         insts = default_instances if size == "270 facts" else instances_10k
-        _, records, transcripts = self.write([(inst, tech) for tech in TECHNIQUES for inst in insts])
+        results, records, transcripts = self.write([(inst, tech) for tech in TECHNIQUES for inst in insts])
         expanded = list(expand_transcripts(records, insts))
         assert [record["transcript"] for record in expanded] == transcripts
         assert [{**e, "transcript": None} for e in expanded] == [{**r, "transcript": None} for r in records]
-        first = {}  # reply -> the (line, turn) of its first copy
-        for i, record in enumerate(records):
-            for j, turn in enumerate(record["transcript"]):
-                reply = expanded[i]["transcript"][j]["reply"]
-                where = first.setdefault(reply, (i, j))
-                if where != (i, j) and len(json.dumps(where)) < len(reply) + 2:
-                    assert turn["reply"] == list(where)  # backward, to the copy held in full
-                    assert len(json.dumps(turn["reply"])) < len(json.dumps(reply))
-                else:
-                    assert turn["reply"] == reply
+        assert_stored_once(records, results)
         restatements = [t["reply"] for r in records for t in r["transcript"] if t["step"] == "structure_data"]
         assert sum(isinstance(reply, str) for reply in restatements) == 1 and len(restatements) == 2 * len(insts)
 
     def test_distinct_replies_are_stored_in_full(self, default_instances):
-        """With no repeated reply, a line is no longer than one that keeps the schema text in its prompt."""
+        """With no repeated reply, a line is no longer than one that keeps the schema text and every
+        prompt part in full, and shorter exactly when it left one of them out."""
         counter = iter(range(10**6))
 
         class DistinctClient:
@@ -1007,7 +1010,9 @@ class TestTranscriptsFile:
             assert all(isinstance(turn["reply"], str) for turn in record["transcript"])
             unsplit = [{**turn, "prompt": turn["prompt"].split(inst.tkg_text)} for turn in transcript]
             stored, unstored = len(json.dumps(record)), len(json.dumps({**record, "transcript": unsplit}))
-            assert stored <= unstored and (stored < unstored) == any(schema in t["prompt"] for t in transcript)
+            left_out = any(not isinstance(value, str) for _, value in stored_strings([record]))
+            left_out = left_out or any(schema in turn["prompt"] for turn in transcript)
+            assert stored <= unstored and (stored < unstored) == left_out
 
     @pytest.mark.parametrize("reply, stored", [("abcd", ["abcd"] * 3), ("abcde", ["abcde", (0, 0), (0, 0)])])
     def test_reference_only_when_shorter(self, default_instances, reply, stored):
@@ -1018,6 +1023,50 @@ class TestTranscriptsFile:
         record = result.transcript_record({}, 0)
         assert [turn["reply"] for turn in record["transcript"]] == stored
         assert next(expand_transcripts([json.loads(json.dumps(record))], [inst]))["transcript"] == received(result, client)
+
+    @pytest.mark.parametrize("reply, part", [("[0, 0]", "[0, 0, 1]"), ("[0, 0, 1]", "[0, 0]")])
+    def test_strings_that_read_as_references(self, default_instances, reply, part):
+        """A reply, a prompt part and an echoed JSON array that read as a reference stay strings."""
+        inst = by_type(default_instances, "timeline")
+        text = inst.tkg_text
+        replies = {
+            'keys "Option1"': fenced(
+                {"Option1": text + part + text, "Option2": json.loads(part), "Option3": [json.loads(reply), text]}
+            ),
+            'field "score"': reply,
+            "": fenced({"answer": list(inst.gold.value)}),
+        }
+        results, records, transcripts = self.write([(inst, "tot")] * 2, lambda inst: ScriptedMockClient(replies))
+        assert [record["transcript"] for record in expand_transcripts(records, [inst])] == transcripts
+        assert_stored_once(records, results)
+        stored = dict(stored_strings(records))
+        assert stored[0, 2] == reply and stored[0, 2, 2] == part  # the first tot_evaluate turn, as strings
+
+    def test_reply_that_echoes_its_prompt(self, default_instances):
+        """A turn's parts come before its reply, so a reply equal to its own prompt refers to that prompt."""
+        inst = dataclasses.replace(by_type(default_instances, "timeline"), tkg=TKG())
+
+        class EchoClient:
+            def __init__(self, inst):
+                pass
+
+            def complete(self, messages, **kwargs):
+                return messages[-1]["content"]
+
+        results, records, transcripts = self.write([(inst, "cot")], EchoClient)
+        assert [record["transcript"] for record in expand_transcripts(records, [inst])] == transcripts
+        assert_stored_once(records, results)
+        assert [turn["reply"] for turn in records[0]["transcript"]] == [[0, turn, 0] for turn in range(3)]
+
+    def test_schema_pieces_repeated_across_jobs(self, default_instances):
+        """The ``api_select`` prompt, the same in every job, stores its schema pieces by reference after line 0."""
+        results, records, transcripts = self.write([(inst, "cotapi") for inst in default_instances])
+        assert [record["transcript"] for record in expand_transcripts(records, default_instances)] == transcripts
+        assert_stored_once(records, results)
+        assert {record["transcript"][1]["step"] for record in records} == {"api_select"}
+        [[*pieces]], *later = [record["transcript"][1]["prompt"] for record in records]
+        assert len(pieces) == 2 and all(isinstance(piece, str) for piece in pieces)
+        assert later == [[[[0, 1, 0, 0], [0, 1, 0, 1]]]] * (len(records) - 1)
 
 
 class TestSteps:
