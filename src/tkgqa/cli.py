@@ -72,6 +72,20 @@ CONFIG_PARSERS = {
 }
 
 
+class UsageError(Exception):
+    """A command's arguments that argparse cannot check; an ``error:`` line and exit code 2."""
+
+
+def _names(text: str, known, what: str) -> list[str]:
+    """The names of a comma list, each known and none repeated."""
+    names = text.split(",")
+    if unknown := set(names) - set(known):
+        raise UsageError(f"unknown {what} {sorted(unknown)}")
+    if repeated := {name for name in names if names.count(name) > 1}:
+        raise UsageError(f"repeated {what} {sorted(repeated)}")
+    return names
+
+
 def load_config(path: str | Path | None) -> dict[str, str]:
     """Parse and check a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS."""
     config = dict(CONFIG_DEFAULTS)
@@ -133,9 +147,9 @@ def _report_verify_failures(instances, stream) -> int:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
+    types = _names(args.types, QUESTION_TYPES, "question types") if args.types else None
     graph_path = Path(args.graph)
     g = load_tkg(graph_path)
-    types = args.types.split(",") if args.types else None
     out_path = Path(args.out)
     tkg_ref = os.path.relpath(graph_path, start=out_path.parent)
     instances = generate_instances(
@@ -171,14 +185,9 @@ def _make_live_client(args, config) -> LiveChatClient:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if (args.mock is None) == (not (args.base_url or config.get("base_url"))):
-        print("error: provide exactly one of --mock or a live endpoint (--base-url/--model)", file=sys.stderr)
-        return 2
+        raise UsageError("provide exactly one of --mock or a live endpoint (--base-url/--model)")
     instances = import_instances(args.dataset)
-    techniques = args.technique.split(",")
-    unknown = set(techniques) - set(pipelines.TECHNIQUES)
-    if unknown:
-        print(f"error: unknown techniques {sorted(unknown)}", file=sys.stderr)
-        return 2
+    techniques = _names(args.technique, pipelines.TECHNIQUES, "techniques")
     # render each graph's text now, once per graph and seed, then build its
     # indexes, so that no job's wall_time includes either; the indexes come
     # after the render so that they are not held beneath the render's peak
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="generate a verified question dataset over a graph")
     p.add_argument("--graph", required=True, help="input fact file")
-    p.add_argument("--per-type", type=int, default=10, help="instances per question type")
+    p.add_argument("--per-type", type=positive_int, default=10, help="instances per question type")
     p.add_argument("--types", default=None, help=f"comma list of types (default: all {len(QUESTION_TYPES)})")
     p.add_argument("--seed", type=int, required=True, help="master RNG seed (required)")
     p.add_argument("--out", required=True, help="output dataset file (JSON Lines)")
@@ -345,9 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TkgqaError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 fails as it is read
+    except (UsageError, TkgqaError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 fails as it is read
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

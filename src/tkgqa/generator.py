@@ -88,8 +88,8 @@ class GraphParams:
                 f"need n_entities >= 2, n_relations >= 1, n_facts >= 1; got "
                 f"{self.n_entities}/{self.n_relations}/{self.n_facts}"
             )
-        if self.time_range[0] > self.time_range[1]:
-            raise InfeasibleParamsError(f"invalid time_range {self.time_range}")
+        if self.time_range[0] >= self.time_range[1]:
+            raise InfeasibleParamsError(f"invalid time_range {self.time_range}: the start must be before the end")
         if self.max_episodes_per_triple < 1:
             raise InfeasibleParamsError("max_episodes_per_triple must be >= 1")
         # beyond the DSL's fact limit, cote_s and cotapi_s restate no graph.  dsl is imported here, not at

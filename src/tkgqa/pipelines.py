@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import random
 import re
 import string
@@ -103,22 +104,33 @@ def _split_template(template: str) -> list[tuple[str, str | None]]:
     return pieces
 
 
-def _fill(pieces: list[tuple[str, str | None]], fields: dict) -> str:
-    """``template.format(**fields)`` of the template split into ``pieces``, built in one copy.
+class _Filled(list):
+    """A filled template's pieces: :func:`_fill` splices them into a field that names them alone; others format their join."""
 
-    ``str.format`` writes into a buffer that it over-allocates by a quarter as
-    it grows; ``str.join`` sizes the result first.  A field that is a string
-    with no conversion or spec formats to that very string, so the rendered
-    text is copied only into the result.  Each field raises what ``str.format``
-    raises for it, in the same order: ``{}`` and ``{0}`` raise ``IndexError``,
-    as no positional fields are given.
+    def __str__(self) -> str:
+        return "".join(self)
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
+
+
+def _fill(pieces: list[tuple[str, str | None]], fields: dict) -> _Filled:
+    """``template.format(**fields)`` of the template split into ``pieces``, as the strings that join to it.
+
+    A string field with no conversion or spec formats to that very string, and a field that names a
+    filled template alone adds its pieces, so no field's text is copied.  Each field raises what
+    ``str.format`` raises for it, in the same order: ``{}`` and ``{0}`` raise ``IndexError``.
     """
-    out = []
+    out = _Filled()
     for literal, field in pieces:
         out.append(literal)
         if field is not None:
-            out.append(field.format(**fields))
-    return "".join(out)
+            value = fields.get(field[1:-2])  # the value of a field that is a name alone, kept as "{name:}"
+            out += value if isinstance(value, _Filled) else [field.format(**fields)]
+    return out
 
 
 _ANSWER_HINTS = {
@@ -147,7 +159,7 @@ class PipelineResult:
     answer: Answer | None = None
     raw_answer: object = None
     explanation: str = ""
-    transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns; prompts as _stored_prompt keeps them
+    transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns; prompts as _stored_prompt makes them
     wall_time: float = 0.0
     llm_calls: int = 0
     function_calls: list = field(default_factory=list)  # (FunctionCall, associated)
@@ -188,15 +200,27 @@ class PipelineResult:
         }
 
 
-def _stored_prompt(prompt: str, text: str) -> list:
-    """``prompt`` as its parts around the instance's ``text``, each part that
-    holds the schema text as the list of its pieces around that.
-    """
-    schema = _schema_text()
-    return [
-        pieces if len(pieces := _split_around(part, schema)) > 1 else part
-        for part in (_split_around(prompt, text) if text else [prompt])
-    ]
+def _stored_prompt(pieces: list[str], text: str) -> list:
+    """The prompt that ``pieces`` join to, as its parts around the instance's ``text`` (:func:`_cut`), each
+    part that holds the schema text as its pieces around that; ``prompt.split(text)`` but for a copy that
+    spans two pieces, as an echo in a field can."""
+    parts = [["".join(run) for run in _cut(part, _schema_text())] for part in (_cut(pieces, text) if text else [pieces])]
+    return [runs if len(runs) > 1 else runs[0] for runs in parts]
+
+
+def _cut(pieces: list[str], needle: str) -> list[list[str]]:
+    """``pieces`` as the groups of strings between the copies of ``needle`` that are a piece or lie in one:
+    a piece that is ``needle`` is known by identity, and only another that could hold a copy is searched."""
+    groups = [group := []]
+    for piece in pieces:
+        if len(piece) < len(needle):
+            group.append(piece)
+            continue
+        first, *rest = ("", "") if piece is needle else piece.split(needle)
+        group.append(first)
+        for cut in rest:
+            groups.append(group := [cut])
+    return groups
 
 
 def _stored(value: str | list, stored: dict[bytes, tuple[int, ...]], where: tuple[int, ...]) -> str | tuple | list:
@@ -214,33 +238,6 @@ def _stored(value: str | list, stored: dict[bytes, tuple[int, ...]], where: tupl
     if earlier != where and len(json.dumps(earlier)) < len(value) + 2:
         return earlier
     return value
-
-
-_ANCHOR_CHARS = 64  # the prefix of the text that _split_around searches for
-
-
-def _split_around(prompt: str, text: str) -> list[str]:
-    """``prompt.split(text)`` for a non-empty ``text``, without searching for all of it.
-
-    ``str.split`` preprocesses its whole needle on every call, which for a text
-    of hundreds of KB costs more than the rest of a turn. A short prefix is
-    searched for only where a whole copy still fits, and each hit confirmed in
-    place, so the cost follows how much longer the prompt is than the text.
-    """
-    if len(prompt) < len(text):
-        return [prompt]
-    anchor = text[:_ANCHOR_CHARS]
-    stop = len(prompt) - len(text) + len(anchor)
-    parts = []
-    start = i = 0
-    while (i := prompt.find(anchor, i, stop)) >= 0:
-        if prompt.startswith(text, i):
-            parts.append(prompt[start:i])
-            start = i = i + len(text)
-        else:
-            i += 1
-    parts.append(prompt[start:])
-    return parts
 
 
 class ChatClient(Protocol):
@@ -308,10 +305,8 @@ def _dsl_fence(source: str) -> str:
 def _render_dsl_value(value, brackets: str = "[]") -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, (list, tuple)):
         inner = ", ".join(_render_dsl_value(v) for v in value)
         return f"{brackets[0]}{inner}{brackets[1]}"
@@ -325,8 +320,7 @@ def call_to_dsl(call: FunctionCall) -> str:
     parser reads both the same.
     """
     params = function_spec(call.name).use_guide
-    present = [i for i, p in enumerate(params) if p.name in call.arguments]
-    upto = max(present) + 1 if present else 0
+    upto = max((i + 1 for i, p in enumerate(params) if p.name in call.arguments), default=0)
     rendered = []
     for param in params[:upto]:
         value = call.arguments.get(param.name)
@@ -783,16 +777,13 @@ class _Chain:
         self.messages: list[dict] = []
 
     def ask(self, step: str, *, fresh: bool = False, **fields) -> str:
-        """Send the ``step`` template, filled with ``fields``; the reply.
-
-        The turn is recorded with its prompt in the stored form
-        (:func:`_stored_prompt`), so the full prompt is held only by
-        ``messages``, which a ``fresh`` ask clears before it fills its own.
-        """
+        """Send the ``step`` template, filled with ``fields``; the reply.  Its pieces are joined once, into
+        ``messages``, which a ``fresh`` ask clears first, and the turn records the prompt as the stored
+        form of the same pieces (:func:`_stored_prompt`)."""
         if fresh:
             self.messages = []
-        prompt = _fill(_template(step, self.cfg.prompts_dir), fields)
-        self.messages.append({"role": "user", "content": prompt})
+        pieces = _fill(_template(step, self.cfg.prompts_dir), fields)
+        self.messages.append({"role": "user", "content": "".join(pieces)})
         reply = self.client.complete(
             self.messages,
             model=self.cfg.model,
@@ -802,7 +793,7 @@ class _Chain:
         )
         self.messages.append({"role": "assistant", "content": reply})
         self.result.llm_calls += 1
-        self.result.transcript.append({"step": step, "prompt": _stored_prompt(prompt, self.text), "reply": reply})
+        self.result.transcript.append({"step": step, "prompt": _stored_prompt(pieces, self.text), "reply": reply})
         return reply
 
 
@@ -817,12 +808,11 @@ def _excerpt(text: str) -> str:
     return "\n".join(text[: breaks[-1].end() if len(breaks) == EXCERPT_FACTS else None].splitlines())
 
 
-def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> str:
+def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> _Filled:
     data = instance.tkg_text if full_text else _excerpt(instance.tkg_text)
     hint = _ANSWER_HINTS.get(instance.answer_type, "")
-    return _fill(
-        _template("statement", prompts_dir), {"question": instance.question_text, "answer_hint": hint, "data": data}
-    )
+    fields = {"question": instance.question_text, "answer_hint": hint, "data": data}
+    return _fill(_template("statement", prompts_dir), fields)
 
 
 def _finish(result: PipelineResult, instance: TaskInstance, raw, explanation: str, error: str | None) -> None:
@@ -890,11 +880,14 @@ def _parse_options(reply: str) -> list[str]:
     return [reply.strip()]
 
 
-def _parse_score(reply: str) -> float:
+def _reply_score(reply: str) -> float | None:
+    """The reply's ``score``: a JSON number, not a bool, that converts to a finite float; None otherwise."""
     obj = _reply_json(reply)
-    if isinstance(obj, dict) and isinstance(obj.get("score"), (int, float)) and not isinstance(obj.get("score"), bool):
-        return float(obj["score"])
-    return 5.0  # midpoint default when the judge reply does not parse
+    score = obj.get("score") if isinstance(obj, dict) else None
+    try:
+        return None if isinstance(score, bool) or not math.isfinite(score) else float(score)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the floats
+        return None
 
 
 def _run_tot(instance, chain, statement):
@@ -914,8 +907,8 @@ def _run_tot(instance, chain, statement):
             )
             for option in _parse_options(reply):
                 new_path = path + [option]
-                score_reply = chain.ask("tot_evaluate", fresh=True, task=statement, state=" -> ".join(new_path))
-                children.append((new_path, _parse_score(score_reply)))
+                score = _reply_score(chain.ask("tot_evaluate", fresh=True, task=statement, state=" -> ".join(new_path)))
+                children.append((new_path, 5.0 if score is None else score))  # the midpoint when there is no score
         children.sort(key=lambda item: -item[1])  # stable: ties keep generation order
         frontier = children[:TOT_BEAM] or frontier
     best_path = frontier[0][0]
@@ -1078,15 +1071,12 @@ def expand_transcripts(records: Iterable[dict], instances: Iterable[TaskInstance
 def temporal_confidence(question: str, data_excerpt: str, client, cfg: PipelineConfig | None = None) -> float | None:
     """Model-estimated confidence in [0, 1] that a task needs temporal reasoning.
 
-    Returns None when the reply yields no numeric score (the caller should
-    flag the task); out-of-range scores are clamped with a warning.
+    Returns None when the reply holds no score (:func:`_reply_score`), for the caller to flag;
+    out-of-range scores are clamped with a warning.
     """
     chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""), "")
-    obj = _reply_json(chain.ask("confidence", question=question, data=data_excerpt))
-    score = obj.get("score") if isinstance(obj, dict) else None
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        return None
-    if score < 0.0 or score > 1.0:
+    score = _reply_score(chain.ask("confidence", question=question, data=data_excerpt))
+    if score is not None and not 0.0 <= score <= 1.0:
         logger.warning("temporal confidence %s out of range; clamping to [0, 1]", score)
-        score = min(max(float(score), 0.0), 1.0)
-    return float(score)
+        score = min(max(score, 0.0), 1.0)
+    return score

@@ -67,6 +67,12 @@ class TestGenGraph:
             run_cli("gen-graph", "--out", "g.jsonl")
         assert err.value.code == 2
 
+    def test_empty_time_range_is_an_error_line(self, workspace, capsys):
+        code = run_cli("gen-graph", "--seed", "1", "--time-start", "2000", "--time-end", "2000", "--out", "g.jsonl")
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid time_range (2000, 2000): the start must be before the end\n"
+        assert not (workspace / "g.jsonl").exists()
+
     def test_never_renders_text(self, workspace, monkeypatch, capsys):
         """Only eval reads the rendered text: gen-graph, gen-dataset and verify render nothing."""
         def no_render(*args, **kwargs):
@@ -116,6 +122,32 @@ class TestGenDataset:
         empty.write_text("")
         assert run_cli("gen-dataset", "--graph", str(empty), "--seed", "1", "--out", str(workspace / "d.jsonl")) == 1
         assert capsys.readouterr().err == "error: cannot generate questions over a graph with no facts\n"
+        assert not (workspace / "d.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "types, error",
+        [
+            ("nope", "error: unknown question types ['nope']\n"),
+            ("timeline,nope,", "error: unknown question types ['', 'nope']\n"),
+            ("timeline,before_after,timeline", "error: repeated question types ['timeline']\n"),
+        ],
+        ids=["unknown", "empty-name", "repeated"],
+    )
+    def test_bad_types_are_a_usage_error(self, workspace, capsys, types, error):
+        graph = gen_graph(workspace)
+        capsys.readouterr()
+        code = run_cli("gen-dataset", "--graph", str(graph), "--types", types, "--seed", "1", "--out", "d.jsonl")
+        assert code == 2
+        assert capsys.readouterr().err == error
+        assert not (workspace / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("per_type", ["0", "-1"])
+    def test_per_type_below_one_is_a_usage_error(self, workspace, capsys, per_type):
+        graph = gen_graph(workspace)
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-dataset", "--graph", str(graph), "--per-type", per_type, "--seed", "1", "--out", "d.jsonl")
+        assert err.value.code == 2
+        assert "--per-type" in capsys.readouterr().err
         assert not (workspace / "d.jsonl").exists()
 
 
@@ -500,6 +532,16 @@ class TestEval:
         code = run_cli("eval", "--dataset", str(dataset), "--technique", "bogus", "--mock", "oracle")
         assert code == 2
 
+    def test_repeated_technique_usage_error(self, workspace, capsys):
+        dataset = gen_dataset(workspace, gen_graph(workspace))
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "cot,direct,cot", "--mock", "oracle", "--rows", "rows.jsonl",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeated techniques ['cot']\n"
+        assert not (workspace / "rows.jsonl").exists()
+
     def test_rows_persist_and_report_reaggregates(self, workspace, capsys):
         dataset = gen_dataset(workspace, gen_graph(workspace))
         rows = workspace / "rows.jsonl"
@@ -634,6 +676,17 @@ class TestConfidence:
         with caplog.at_level(logging.WARNING):
             assert run_cli("confidence", "--input", str(tasks), "--mock", mock, "--format", "json") == 0
         assert not any("clamp" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("score", ["9" * 400, "NaN", "Infinity"], ids=["huge", "nan", "inf"])
+    def test_score_that_is_no_finite_number_is_flagged(self, workspace, capsys, score):
+        tasks = self._write_tasks(workspace)
+        script = workspace / "mock.json"
+        replies = {"When did": '```json\n{"score": ' + score + '}\n```', "": '```json\n{"score": 0.05}\n```'}
+        script.write_text(json.dumps(replies))
+        assert run_cli("confidence", "--input", str(tasks), "--mock", str(script), "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["flagged"] == 1
+        assert report["matrix"]["temporal"] == {"knowledge": 1, "temporal": 0}
 
     def test_missing_actual_label(self, workspace, capsys):
         tasks = workspace / "tasks.jsonl"
