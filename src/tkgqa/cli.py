@@ -62,12 +62,28 @@ def positive_int(text: str) -> int:
     return value
 
 
-# how each numeric config value is read; a ValueError is a bad value
+def nonnegative_float(text: str) -> float:
+    """A finite number at or above 0; nan fails every comparison."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{text!r} is not a finite number at or above 0")
+    return value
+
+
+def unit_float(text: str) -> float:
+    """A number in [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{text!r} is not a number in [0, 1]")
+    return value
+
+
+# how each numeric config value, and the flag of the same name, is read; a ValueError is a bad value
 CONFIG_PARSERS = {
-    "temperature": float,
+    "temperature": nonnegative_float,
     "max_tokens": positive_int,
     "parallelism": positive_int,
-    "threshold": float,
+    "threshold": unit_float,
     "bin_width": positive_int,
 }
 
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", default=None, help="mock client: oracle, random, or a script path")
     p.add_argument("--base-url", default=None, help="chat-completions endpoint base URL")
     p.add_argument("--model", default=None, help="model name for live endpoints")
-    p.add_argument("--temperature", type=float, default=None, help="sampling temperature")
+    p.add_argument("--temperature", type=nonnegative_float, default=None, help="sampling temperature")
     p.add_argument("--seed", type=int, default=None, help="seed for seeded mocks")
     p.add_argument("--parallelism", type=positive_int, default=None, help="live-endpoint worker pool size")
     p.add_argument("--rows", default=None, help="write scored rows JSONL here")
@@ -335,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", default=None, help="mock client: oracle, random, or a script path")
     p.add_argument("--base-url", default=None, help="chat-completions endpoint base URL")
     p.add_argument("--model", default=None, help="model name for live endpoints")
-    p.add_argument("--threshold", type=float, default=None, help="temporal threshold (default 0.8)")
+    p.add_argument("--threshold", type=unit_float, default=None, help="temporal threshold (default 0.8)")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_confidence)

@@ -21,8 +21,10 @@ top-level ``*`` leaves its parameter unset; a nested one is the string
 written here or as JSON.
 
 There are no loops, no recursion, no I/O and no string operations, so every
-accepted program terminates structurally; an execution step budget is
-enforced anyway.  Solver domain errors (no matching facts, ambiguous
+accepted program terminates structurally.  A step budget bounds its work: a
+unit costs one step, a graph query (a ``facts(...)`` source, or one that a
+called solver makes) one plus the graph's size, and a stage one plus the
+length of its input.  Solver domain errors (no matching facts, ambiguous
 episodes, bad arguments) become :class:`ErrorValue` results rather than
 exceptions, so callers can score them as wrong answers.
 """
@@ -415,8 +417,7 @@ def parse(source: str) -> Program:
 
 @dataclass(frozen=True)
 class Limits:
-    max_statements: int = 10_000
-    max_steps: int = 1_000_000
+    max_steps: int = 500_000
     max_facts: int = 100_000
 
 
@@ -462,10 +463,15 @@ class _Interpreter:
         self.steps = 0
         self.env: dict[str, object] = {}
 
-    def tick(self):
-        self.steps += 1
+    def tick(self, cost: int = 1):
+        self.steps += cost
         if self.steps > self.limits.max_steps:
             raise StepLimitExceededError(f"step budget {self.limits.max_steps} exceeded")
+
+    def query(self, s: str | None = None, r: str | None = None, o: str | None = None) -> list[Fact]:
+        """The graph's query, charged 1 + the graph's size, the most it can scan, before it runs."""
+        self.tick(1 + len(self.graph))
+        return self.graph.query(s, r, o)
 
     def eval_expr(self, expr: Pipe):
         value = self.eval_unit(expr.head)
@@ -478,7 +484,7 @@ class _Interpreter:
     def eval_unit(self, unit):
         self.tick()
         if isinstance(unit, Source):
-            return _FactList(self.graph.query(unit.s, unit.r, unit.o))
+            return _FactList(self.query(unit.s, unit.r, unit.o))
         if isinstance(unit, Var):
             return self.env[unit.name]
         if isinstance(unit, Call):
@@ -495,15 +501,15 @@ class _Interpreter:
         # a top-level * leaves its parameter unset
         arguments = {param.name: value for param, value in zip(params, call.args) if value != "*"}
         try:
-            return dispatch(self.graph, FunctionCall(call.func, arguments))
+            return dispatch(self, FunctionCall(call.func, arguments))  # solvers only call g.query
         except _SOLVER_DOMAIN_ERRORS as exc:
             return ErrorValue(type(exc).__name__, str(exc))
 
     def eval_stage(self, stage: Stage, value):
-        self.tick()
         name = stage.name
         if not isinstance(value, _FactList):
             raise RuntimeTypeError(f"{name} expects a fact list, got {_type_name(value)}")
+        self.tick(1 + len(value))
         if name == "sort":
             endpoint, order = stage.args
             if endpoint not in ("start", "end") or order not in ("asc", "desc"):
@@ -558,8 +564,8 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
 
     Programs with fact declarations build their own graph and must not be
     given one; all other programs require ``g``.  ``max_facts`` bounds the
-    fact declarations and ``max_statements`` every other statement.  Every
-    source, stage and call evaluation consumes one step.
+    fact declarations and ``max_steps`` the work of every other statement,
+    priced as the module docstring says; ``steps`` in the result is that work.
     """
     limits = limits or Limits()
     decls = program.fact_decls
@@ -567,11 +573,6 @@ def execute(program: Program, g: TKG | None = None, limits: Limits | None = None
         raise RuntimeTypeError("program declares facts; do not pass a graph")
     if not decls and g is None:
         raise RuntimeTypeError("program declares no facts; a graph is required")
-    statements = len(program.statements) - len(decls)
-    if statements > limits.max_statements:
-        raise StepLimitExceededError(
-            f"statement budget {limits.max_statements} exceeded ({statements} statements)"
-        )
     if len(decls) > limits.max_facts:
         raise FactLimitExceededError(f"fact budget {limits.max_facts} exceeded ({len(decls)} declared)")
     if decls:

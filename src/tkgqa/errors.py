@@ -128,7 +128,7 @@ class ArityError(DslPositionError):
 
 
 class StepLimitExceededError(DslError):
-    """Evaluation exceeded the configured step budget."""
+    """Evaluation exceeded the step budget: its units, graph queries and stage inputs, as ``dsl`` prices them."""
 
 
 class FactLimitExceededError(DslError):

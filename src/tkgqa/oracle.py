@@ -57,26 +57,9 @@ def _nonempty(facts, msg: str) -> list[Fact]:
     return facts
 
 
-def _union_length(intervals: list[tuple[int, int]]) -> int:
-    # sweep-line over endpoint events; +1 events sort before -1 at equal
-    # coordinates so touching closed intervals stay connected
-    events = []
-    for a, b in intervals:
-        events.append((a, 0))
-        events.append((b, 1))
-    events.sort()
-    total = 0
-    depth = 0
-    prev = None
-    for coord, kind in events:
-        if depth > 0 and prev is not None:
-            total += coord - prev
-        depth += 1 if kind == 0 else -1
-        prev = coord
-    return total
-
-
 def _covered_spans(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # sweep-line over endpoint events; start events sort before end events at
+    # equal coordinates, so touching closed intervals make one span
     events = []
     for a, b in intervals:
         events.append((a, 0))
@@ -93,10 +76,7 @@ def _covered_spans(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             depth -= 1
             if depth == 0:
-                if spans and spans[-1][1] == start:
-                    spans[-1] = (spans[-1][0], coord)
-                else:
-                    spans.append((start, coord))
+                spans.append((start, coord))
     return spans
 
 
@@ -222,7 +202,7 @@ def _o_total_relation_time(g, s=None, r=None, o=None, *, merge_overlaps=True):
     facts = _nonempty(_scan(g, s, r, o), "empty")
     if not merge_overlaps:
         return Answer("duration", sum(f.t1 - f.t0 for f in facts))
-    return Answer("duration", _union_length([(f.t0, f.t1) for f in facts]))
+    return Answer("duration", sum(b - a for a, b in _covered_spans([(f.t0, f.t1) for f in facts])))
 
 
 def _o_is_triplet_within_timespan(g, s, r, o, *, window):
@@ -250,7 +230,7 @@ def _o_compare_triplet_durations(g, *, first, second, op):
     totals = []
     for triple in (first, second):
         facts = _nonempty(_scan(g, *triple), "empty")
-        totals.append(_union_length([(f.t0, f.t1) for f in facts]))
+        totals.append(sum(b - a for a, b in _covered_spans([(f.t0, f.t1) for f in facts])))
     return Answer("boolean", totals[0] > totals[1] if op == "longer" else totals[0] < totals[1])
 
 

@@ -780,6 +780,47 @@ class TestConfig:
             load_config(path)
 
 
+class TestFloatSettings:
+    """``--temperature`` and ``--threshold`` share their config key's parser."""
+
+    COMMANDS = {
+        "temperature": ["eval", "--dataset", "d.jsonl", "--technique", "direct", "--mock", "oracle"],
+        "threshold": ["confidence", "--input", "t.jsonl", "--mock", "oracle"],
+    }
+    BAD = [("temperature", value) for value in ("nan", "inf", "-inf", "1e400", "-0.5", "warm")] + [
+        ("threshold", value) for value in ("nan", "inf", "-inf", "-0.1", "1.5", "5")
+    ]
+
+    @pytest.mark.parametrize("key, value", BAD)
+    def test_bad_flag_is_a_usage_error(self, workspace, capsys, key, value):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*self.COMMANDS[key], f"--{key}={value}")
+        assert err.value.code == 2
+        assert f"argument --{key}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", BAD)
+    def test_bad_config_value_exits_1(self, workspace, capsys, key, value):
+        config = workspace / "conf.txt"
+        config.write_text(f"{key} = {value}\n")
+        assert run_cli(*self.COMMANDS[key], "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: config line 1: {key}: ")
+
+    @pytest.mark.parametrize("key, value", [("temperature", "0"), ("temperature", "2.5"), ("threshold", "0"), ("threshold", "1")])
+    def test_bounds_accepted(self, workspace, capsys, key, value):
+        if key == "temperature":
+            dataset = gen_dataset(workspace, gen_graph(workspace))
+            command = ["eval", "--dataset", str(dataset), "--technique", "direct", "--mock", "oracle"]
+        else:
+            tasks = workspace / "tasks.jsonl"
+            tasks.write_text(json.dumps({"question": "q", "data": "d", "actual": "temporal"}) + "\n")
+            command = ["confidence", "--input", str(tasks), "--mock", "oracle"]
+        config = workspace / "conf.txt"
+        config.write_text(f"{key} = {value}\n")
+        assert run_cli(*command, f"--{key}={value}") == 0
+        assert run_cli(*command, "--config", str(config)) == 0
+        assert "error" not in capsys.readouterr().err
+
+
 def _input_commands(path) -> dict:
     """Each command's argv that reads ``path`` as its input file, before any other input."""
     return {

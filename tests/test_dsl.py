@@ -329,22 +329,17 @@ class TestExecute:
             execute(program, None, Limits(max_facts=0))
 
     def test_declarations_do_not_count_as_statements(self):
-        decls = "\n".join(f"fact(E{i}, R1, E{i + 1}, 2000, 2001)" for i in range(Limits().max_statements))
-        result = execute(parse(decls + "\nfacts(*, *, *) |> count"))
-        assert result.value == Limits().max_statements
-
-    def test_statement_limit_counts_other_statements(self, fixture_a):
-        limits = Limits(max_statements=3)
-        source = "\n".join(["let xs = facts(E1, R1, *)"] * 3 + ["xs |> count"])
-        with pytest.raises(StepLimitExceededError):
-            execute(parse(source), fixture_a, limits)
-        assert execute(parse("\n".join(source.splitlines()[1:])), fixture_a, limits).value == 3
+        n = 10_000
+        decls = "\n".join(f"fact(E{i}, R1, E{i + 1}, 2000, 2001)" for i in range(n))
+        cost = 1 + (1 + n) + (1 + n)  # the unit, its query and its stage; no declaration costs a step
+        result = execute(parse(decls + "\nfacts(*, *, *) |> count"), None, Limits(max_steps=cost))
+        assert (result.value, result.steps) == (n, cost)
 
     def test_fact_limit_bounds_declarations(self):
         source = "\n".join(f"fact(E{i}, R1, E{i + 1}, 2000, 2001)" for i in range(4)) + "\nfacts(*, *, *) |> count"
         with pytest.raises(FactLimitExceededError):
             execute(parse(source), None, Limits(max_facts=3))
-        assert execute(parse(source), None, Limits(max_facts=4, max_statements=1)).value == 4
+        assert execute(parse(source), None, Limits(max_facts=4, max_steps=1 + 5 + 5)).value == 4
 
     def test_declared_fact_fields_use_graph_validation(self):
         from tkgqa.errors import InvalidIntervalError
@@ -391,7 +386,8 @@ class TestExecute:
 
     def test_steps_counted(self, fixture_a):
         result = execute(parse("facts(E1, R1, *) |> sort(start, asc) |> objects"), fixture_a)
-        assert result.steps == 3  # source + two stages
+        # the source's unit and its query of 6 facts, then two stages of 3 facts each
+        assert result.steps == 1 + (1 + 6) + (1 + 3) + (1 + 3)
 
     def test_declared_duplicate_facts_rejected(self):
         program = parse(
@@ -538,3 +534,118 @@ class TestSchemaIsTheOneCheck:
         value = execute(parse(call_to_dsl(fn_call)), g).value
         assert isinstance(value, ErrorValue) and value.error == "ArgumentTypeError", value
         assert repr(name) in value.message
+
+
+_FILTER_STAGES = ("sort(start, asc)", "sort(end, desc)", "filter_at(2000)", "filter_overlap(1990, 2010)",
+                  "filter_within(1950, 2030)", "filter_dur(>=, 3)")
+_LAST_STAGES = ("count", "objects", "subjects", "durations", "merge_total")
+
+
+@st.composite
+def _graph_and_program(draw):
+    """A small random graph and a well-typed program over it: sources, stages, lets and calls."""
+    g = random_graph(draw(st.integers(0, 100)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = st.sampled_from(sorted(g.entities) + ["E999", "*"])
+    relations = sorted(g.relations)
+    lines, fact_vars = [], []
+    n = draw(st.integers(1, 8))
+    for i in range(n):
+        kind = draw(st.sampled_from(("pipe", "call", "sequence")))
+        if kind == "call":
+            fn_call = sample_call(rng, g, draw(st.sampled_from(QUESTION_TYPES)))
+            expr = call_to_dsl(fn_call) if fn_call else "call timeline(E999, *, *)"
+        elif kind == "sequence":
+            steps = draw(st.lists(st.tuples(st.sampled_from(relations), st.sampled_from(("start", "end"))),
+                                  min_size=2, max_size=6))
+            steps_text = ", ".join(f"({r}, {endpoint})" for r, endpoint in steps)
+            expr = f"call sequence_of_relations_in_interval({draw(ids)}, [{steps_text}], [1900, 2100])"
+        else:
+            if fact_vars and draw(st.booleans()):
+                head = draw(st.sampled_from(fact_vars))
+            else:
+                head = f"facts({draw(ids)}, {draw(st.sampled_from(relations + ['*']))}, {draw(ids)})"
+            stages = draw(st.lists(st.sampled_from(_FILTER_STAGES), max_size=3))
+            last = draw(st.sampled_from((None,) + _LAST_STAGES))
+            expr = " |> ".join([head, *stages, *([last] if last else [])])
+        if i < n - 1 and draw(st.booleans()):
+            lines.append(f"let x{i} = {expr}")
+            if kind == "pipe" and last is None:
+                fact_vars.append(f"x{i}")
+        else:
+            lines.append(expr)
+    if lines[-1].startswith("let "):
+        lines.append("facts(*, *, *) |> count")
+    return g, "\n".join(lines)
+
+
+class TestWorkBudget:
+    """A step is a fact a query or a stage may touch, and every statement costs at least one."""
+
+    @staticmethod
+    def _counting(queried: list, staged: list):
+        """Patches that record the facts each graph query returns and each stage receives."""
+        query, eval_stage = TKG.query, dsl._Interpreter.eval_stage
+
+        def counted_query(self, *args, **kwargs):
+            facts = query(self, *args, **kwargs)
+            queried.append(len(facts))
+            return facts
+
+        def counted_stage(self, stage, value):
+            staged.append(len(value))
+            return eval_stage(self, stage, value)
+
+        return (mock.patch.object(TKG, "query", counted_query),
+                mock.patch.object(dsl._Interpreter, "eval_stage", counted_stage))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_graph_and_program())
+    def test_steps_cover_every_fact_touched(self, case):
+        g, source = case
+        program = parse(source)
+        queried, staged = [], []
+        patch_query, patch_stage = self._counting(queried, staged)
+        with patch_query, patch_stage:
+            result = execute(program, g)
+        # the facts every query returns and every stage receives are paid for, and so is each
+        # statement's unit: each costs 1, and each query and stage 1 more than the facts it touches
+        assert len(program.statements) + sum(1 + n for n in queried + staged) <= result.steps
+
+    def test_default_budget_fits_the_oracle_at_max_facts(self):
+        n = Limits().max_facts
+        g = TKG(Fact(f"E{i % 1000}", f"R{i % 20}", f"E{i // 1000}", 1900 + i % 100, 1905 + i % 100)
+                for i in range(n))
+        assert len(g) == n
+        restated = execute(parse(_structuring_program(g)))
+        assert restated.graph == g and restated.value == n
+        assert restated.steps == 1 + 2 * (1 + n)
+        calls = {
+            4: FunctionCall("sequence_of_relations_in_interval",
+                            {"s": "E0", "steps": [["R0", "start"], ["R0", "end"], ["R0", "end"]], "window": [1900, 2100]}),
+            2: FunctionCall("event_at_the_time_of_another_event",
+                            {"anchor": ["E0", "R0", "E0"], "anchor_point": "start", "s": "E0", "r": "R0"}),
+        }
+        for queries, fn_call in calls.items():
+            result = execute(parse(call_to_dsl(fn_call)), g)
+            assert result.value == dispatch(g, fn_call) and not isinstance(result.value, ErrorValue)
+            assert result.steps == 1 + queries * (1 + n)
+
+    ADVERSARIAL = {
+        "calls": "\n".join(["call calculate_total_relation_time()"] * 10_000),
+        "sorts": "\n".join(
+            f"let x{i} = facts(*, *, *) |> sort(start, desc) |> filter_overlap(1900, 2100)" for i in range(300)
+        ) + "\nx0 |> count",
+        "sequence": "call sequence_of_relations_in_interval(E0, [" + ", ".join(["(R0, start)"] * 1000) + "], [1900, 2100])",
+    }
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_adversarial_programs_refused(self, name):
+        n = 2_000
+        g = TKG(Fact(f"E{i % 100}", f"R{i % 4}", f"E{i // 100}", 1900 + i % 50, 1910 + i % 50) for i in range(n))
+        program = parse(self.ADVERSARIAL[name])
+        queried, staged = [], []
+        patch_query, patch_stage = self._counting(queried, staged)
+        with patch_query, patch_stage, pytest.raises(StepLimitExceededError):
+            execute(program, g)
+        assert 0 < len(queried) <= Limits().max_steps // (1 + n)
