@@ -204,11 +204,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("provide exactly one of --mock or a live endpoint (--base-url/--model)")
     instances = import_instances(args.dataset)
     techniques = _names(args.technique, pipelines.TECHNIQUES, "techniques")
-    # render each graph's text now, once per graph and seed, then build its
+    # derive each graph's text now, once per graph and seed, then build its
     # indexes, so that no job's wall_time includes either; the indexes come
-    # after the render so that they are not held beneath the render's peak
+    # after the render so that they are not held beneath the render's peak.
+    # Only a technique that reads the text has it rendered; the excerpt
+    # techniques need only its length, for the rows' token estimate.
+    reads_text = any(pipelines._TECHNIQUES[tech][1] for tech in techniques)  # its full-text flag
     for inst in instances:
-        inst.tkg_text
+        inst.tkg_text if reads_text else inst.token_estimate
     for inst in instances:
         inst.tkg.build_indexes()
     # the prompt templates and the schema text are built once per process; the first job would pay for them

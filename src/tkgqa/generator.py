@@ -64,9 +64,9 @@ def subseed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def estimate_tokens(text: str) -> int:
-    """Vendor-neutral token estimate: ceil(chars / 4)."""
-    return math.ceil(len(text) / 4)
+def estimate_tokens(text: str | int) -> int:
+    """Vendor-neutral token estimate: ceil(chars / 4), of a text or of a text's length."""
+    return math.ceil((text if isinstance(text, int) else len(text)) / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +659,9 @@ class TaskInstance:
 
     @property
     def token_estimate(self) -> int:
-        return estimate_tokens(self.tkg_text)
+        """The estimate of :attr:`tkg_text`'s tokens, from the text's length: the kept text's, or else one
+        counted without rendering the text (:meth:`TKG.text_length`)."""
+        return estimate_tokens(self.tkg.text_length(self.render_seed))
 
     def to_json(self) -> dict:
         if self.tkg_ref is not None:
@@ -835,7 +837,8 @@ def import_instances(source: str | Path, base_dir: str | Path | None = None) -> 
     """Load a dataset file; graph paths resolve relative to the file (or base_dir).
 
     Each graph file is loaded once, and its instances share that graph, so
-    they share its text too, rendered when it is first read.  A repeated
+    they share its text too, rendered when it is first read (or only its
+    length counted, when that is all that is read).  A repeated
     instance id is a :class:`ParseError`: transcripts and rows name an
     instance by its id.
     """

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -29,6 +30,7 @@ __all__ = [
     "read_jsonl",
     "write_jsonl",
     "render_text",
+    "sentences",
     "DEFAULT_FACT_TEMPLATES",
 ]
 
@@ -107,10 +109,10 @@ class TKG:
     construction; insertion order is the canonical iteration order.  The
     per-field indexes are built on first use: a graph restated by a model is
     queried by one short program, which needs only the indexes of the fields
-    it binds.  Its rendered texts are kept the same way, one per seed.  Two
-    threads that race to build the same index or text each build an equal
-    one, and the store is atomic, so a graph stays safe to share across
-    threads.
+    it binds.  Its rendered texts are kept the same way, one per seed, or only
+    a text's length when no more was asked for.  Two threads that race to
+    build the same index, text or length each build an equal one, and the
+    store is atomic, so a graph stays safe to share across threads.
     """
 
     __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o", "_hash", "_texts")
@@ -125,6 +127,7 @@ class TKG:
                 raise DuplicateFactError(index=i, fact=f)
             seen.add(f)
             clean.append(f)
+        del seen  # freed before the copy below, which would otherwise peak beside it
         self.facts: tuple[Fact, ...] = tuple(clean)
         self.entities: frozenset[str] = frozenset({f.s for f in clean} | {f.o for f in clean})
         self.relations: frozenset[str] = frozenset({f.r for f in clean})
@@ -132,7 +135,7 @@ class TKG:
         self._by_r: dict[str, list[Fact]] | None = None
         self._by_o: dict[str, list[Fact]] | None = None
         self._hash: int | None = None
-        self._texts: dict[int, str] = {}
+        self._texts: dict[int, str | int] = {}  # by seed, the text or, until it is rendered, its length
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -175,9 +178,17 @@ class TKG:
     def rendered(self, seed: int, render: Callable[..., str]) -> str:
         """``render(self, seed=seed)``, called on the first request for ``seed`` and kept for the later ones."""
         text = self._texts.get(seed)
-        if text is None:
+        if type(text) is not str:
             text = self._texts[seed] = render(self, seed=seed)
         return text
+
+    def text_length(self, seed: int) -> int:
+        """``len(render_text(self, seed=seed))``: the kept text's length, or else one counted sentence by
+        sentence, so that no sentence outlives its count, and kept in the text's place."""
+        kept = self._texts.get(seed)
+        if kept is None:
+            kept = self._texts[seed] = sum(map(len, sentences(self, seed=seed))) + max(len(self) - 1, 0)
+        return kept if type(kept) is int else len(kept)
 
     def query(self, s: str | None = None, r: str | None = None, o: str | None = None) -> list[Fact]:
         """Facts matching every bound field, in insertion order.
@@ -318,9 +329,10 @@ DEFAULT_FACT_TEMPLATES = (
 _RENDER_BLOCK = 4096  # sentences joined into one string before the blocks are joined
 
 
-def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> str:
-    """Render one sentence per fact; template choice is seed-deterministic.
+def sentences(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> Iterator[str]:
+    """One sentence per fact, in fact order: the one place that draws a fact's template.
 
+    Each sentence is made when it is asked for; the draws are seed-deterministic.
     Every field of every fact appears verbatim in its sentence, so the
     rendering is injective on facts for a fixed seed.
     """
@@ -328,14 +340,11 @@ def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0
     if not templates:
         raise ValueError("template_set must be non-empty")
     choose = random.Random(seed).choice
-    facts = g.facts
-    # one draw per fact in fact order, as over one list of every sentence; but
+    return (choose(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1) for f in g.facts)
+
+
+def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> str:
+    """The :func:`sentences` of ``g``, one per line."""
+    lines = sentences(g, template_set, seed)
     # only one block's sentences are alive at a time beside the joined blocks
-    blocks = [
-        "\n".join([
-            choose(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1)
-            for f in facts[start:start + _RENDER_BLOCK]
-        ])
-        for start in range(0, len(facts), _RENDER_BLOCK)
-    ]
-    return "\n".join(blocks)
+    return "\n".join(["\n".join(islice(lines, _RENDER_BLOCK)) for _ in range(0, len(g), _RENDER_BLOCK)])

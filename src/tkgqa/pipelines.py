@@ -47,7 +47,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .generator import TaskInstance, subseed
-from .graph import TKG
+from .graph import TKG, sentences
 from .solvers import dispatch, function_names, function_spec, schema_bundle
 
 logger = logging.getLogger(__name__)
@@ -764,15 +764,16 @@ def select_function(reply: str) -> FunctionCall:
 class _Chain:
     """One conversation with call accounting: the only caller of ``client.complete``.
 
-    ``text`` is the instance's rendered text, which the recorded prompts leave
-    out, and ``memo`` the work the chain shares with other jobs.
+    ``instance`` is the job's instance, whose rendered text the recorded
+    prompts leave out (None for a chain that has no instance), and ``memo``
+    the work the chain shares with other jobs.
     """
 
-    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult, text: str, memo: Memo | None = None):
+    def __init__(self, client, cfg: PipelineConfig, result: PipelineResult, instance: TaskInstance | None, memo: Memo | None = None):
         self.client = client
         self.cfg = cfg
         self.result = result
-        self.text = text
+        self.instance = instance
         self.memo = memo
         self.messages: list[dict] = []
 
@@ -793,23 +794,27 @@ class _Chain:
         )
         self.messages.append({"role": "assistant", "content": reply})
         self.result.llm_calls += 1
-        self.result.transcript.append({"step": step, "prompt": _stored_prompt(pieces, self.text), "reply": reply})
+        self.result.transcript.append({"step": step, "prompt": _stored_prompt(pieces, self._text(pieces)), "reply": reply})
         return reply
 
-
-# every line break str.splitlines knows, "\r\n" as one
-_LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+    def _text(self, pieces: list[str]) -> str:
+        """The instance's text to cut ``pieces`` around, or "" when none can hold it: only a piece at
+        least as long as the text can, so an excerpt technique's text is rendered only for such a piece."""
+        inst = self.instance
+        if inst is not None and any(len(piece) >= inst.tkg.text_length(inst.render_seed) for piece in pieces):
+            return inst.tkg_text
+        return ""
 
 
 def _excerpt(text: str) -> str:
-    """The first EXCERPT_FACTS lines of ``text`` as ``str.splitlines`` splits them, joined by
-    newlines; the text is read no further than the last of them."""
-    breaks = list(itertools.islice(_LINE_BREAK_RE.finditer(text), EXCERPT_FACTS))
-    return "\n".join(text[: breaks[-1].end() if len(breaks) == EXCERPT_FACTS else None].splitlines())
+    """The first EXCERPT_FACTS lines of ``text`` as ``str.splitlines`` splits them, joined by newlines."""
+    return "\n".join(text.splitlines()[:EXCERPT_FACTS])
 
 
 def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None) -> _Filled:
-    data = instance.tkg_text if full_text else _excerpt(instance.tkg_text)
+    # each sentence is a line or more and ends in ".", so the text's first lines lie in its first sentences
+    head = itertools.islice(sentences(instance.tkg, seed=instance.render_seed), EXCERPT_FACTS)
+    data = instance.tkg_text if full_text else _excerpt("\n".join(head))
     hint = _ANSWER_HINTS.get(instance.answer_type, "")
     fields = {"question": instance.question_text, "answer_hint": hint, "data": data}
     return _fill(_template("statement", prompts_dir), fields)
@@ -1026,7 +1031,8 @@ def run(
     runner, full_text = _TECHNIQUES[technique]
     cfg = cfg or PipelineConfig()
     result = PipelineResult(technique=technique, instance_id=instance.id)
-    chain = _Chain(client, cfg, result, instance.tkg_text, memo or Memo())
+    chain = _Chain(client, cfg, result, instance, memo or Memo())
+    instance.tkg_text if full_text else instance.token_estimate  # derived before the clock starts, if not yet
     started = time.perf_counter()
     try:
         statement = _statement(instance, full_text, cfg.prompts_dir)
@@ -1074,7 +1080,7 @@ def temporal_confidence(question: str, data_excerpt: str, client, cfg: PipelineC
     Returns None when the reply holds no score (:func:`_reply_score`), for the caller to flag;
     out-of-range scores are clamped with a warning.
     """
-    chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""), "")
+    chain = _Chain(client, cfg or PipelineConfig(), PipelineResult(technique="confidence", instance_id=""), None)
     score = _reply_score(chain.ask("confidence", question=question, data=data_excerpt))
     if score is not None and not 0.0 <= score <= 1.0:
         logger.warning("temporal confidence %s out of range; clamping to [0, 1]", score)

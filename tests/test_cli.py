@@ -417,6 +417,64 @@ class TestEval:
         assert run_cli("eval", "--dataset", str(dataset), "--technique", "direct,cot", "--mock", "oracle") == 0
         assert len(renders) == 1 and renders_at_run == [1] * 2 * 17
 
+    def test_excerpt_techniques_render_no_text(self, workspace, monkeypatch):
+        """cote and cotapi read an excerpt: eval keeps each graph's text length, not its text, and writes
+        the rows (but wall_time) and transcripts that it writes when the text was rendered first."""
+        dataset = gen_dataset(workspace, gen_graph(workspace, facts=2_000), per_type=1)
+        real_import = tkgqa.cli.import_instances
+        graphs = []
+
+        def eval_once(name, force_text):
+            def importing(path):
+                instances = real_import(path)
+                for inst in instances:
+                    graphs.append(inst.tkg)
+                    if force_text:
+                        inst.tkg_text
+                return instances
+
+            monkeypatch.setattr(tkgqa.cli, "import_instances", importing)
+            assert run_cli(
+                "eval", "--dataset", str(dataset), "--technique", "cote,cotapi", "--mock", "oracle",
+                "--rows", f"{name}.rows.jsonl", "--transcripts", f"{name}.t.jsonl", "--report", "r.txt",
+            ) == 0
+            rows = [json.loads(line) for line in (workspace / f"{name}.rows.jsonl").read_text().splitlines()]
+            assert len(rows) == 2 * 17 and all(row.pop("wall_time") >= 0 and row["correct"] for row in rows)
+            return rows, (workspace / f"{name}.t.jsonl").read_bytes()
+
+        lazy = eval_once("lazy", force_text=False)
+        assert graphs and all(type(kept) is int for g in graphs for kept in g._texts.values())
+        assert {len(g._texts) for g in graphs} == {1}
+        assert eval_once("forced", force_text=True) == lazy
+
+    def test_reply_that_echoes_the_text_is_cut_from_a_later_prompt(self, workspace):
+        """A one-fact graph's text is one line, and so its excerpt; an api_select reply naming it comes
+        back in the api_final prompt, which is stored without it, and expand_transcripts restores it."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        line = json.loads(dataset.read_text().splitlines()[0])
+        line["tkg"] = [["E1", "R1", "E2", 2000, 2005]]
+        dataset.write_text(json.dumps(line) + "\n")
+        (inst,) = import_instances(dataset)
+        text = inst.tkg_text
+        assert "\n" not in text and json.dumps(text)[1:-1] == text
+        script = {"use the functions": "```json\n" + json.dumps({"name": text}) + "\n```", "": text}
+        (workspace / "s.json").write_text(json.dumps(script))
+        assert run_cli(
+            "eval", "--dataset", str(dataset), "--technique", "cote,cotapi", "--mock", str(workspace / "s.json"),
+            "--transcripts", "t.jsonl", "--report", "r.txt",
+        ) == 0
+        records = [json.loads(line) for line in (workspace / "t.jsonl").read_text().splitlines()]
+        cote, cotapi = (record["transcript"] for record in records)
+        assert [turn["step"] for turn in cotapi] == ["exec_analyze", "api_select", "api_final"]
+        # the excerpt statement and the api_final prompt hold the text once each, and are stored around it
+        for turn in (cote[0], cotapi[0], cotapi[2]):
+            assert len(turn["prompt"]) == 2
+            assert not any(text in json.dumps(part) for part in turn["prompt"])
+        expanded = [record["transcript"] for record in expand_transcripts(records, [inst])]
+        assert "unknown function: '" + text + "'" in expanded[1][2]["prompt"]
+        assert text in expanded[0][0]["prompt"] and text in expanded[1][0]["prompt"]
+        assert expanded[0][0]["reply"] == text
+
     def test_builds_each_loaded_graphs_indexes_before_the_first_job(self, workspace, monkeypatch):
         """No job's wall_time includes a loaded graph's index build; a restated graph still builds its own in a job."""
         dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)

@@ -398,18 +398,48 @@ class TestExcerpt:
         # the excerpt statement is the full-text statement with the excerpt in place of the text
         assert "".join(pipelines._statement(inst, False, None)) == full.replace(text, excerpt)
 
-    def test_reads_no_further_than_its_last_line(self):
-        # splitting the whole text into its 200,005 lines would allocate megabytes
-        head = "\n".join(f"fact line {i}" for i in range(pipelines.EXCERPT_FACTS))
-        text = head + "\r\n" + "x\n" * 200_000
+    def test_statement_over_200k_facts_renders_no_text(self, instances):
+        # the excerpt is cut from the graph's first sentences: rendering the 200,000 would allocate megabytes
+        g = TKG(Fact(f"E{i}", "R1", "E0", 2000, 2001) for i in range(200_000))
+        inst = dataclasses.replace(instances[0], tkg=g, render_seed=1)
+        pipelines.warm_caches()
         tracemalloc.start()
         try:
-            excerpt = pipelines._excerpt(text)
+            statement = pipelines._statement(inst, False, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert excerpt == head
+        assert g._texts == {}
         assert peak < 64_000
+        text = render_text(g, seed=1)
+        excerpt = "\n".join(text.splitlines()[: pipelines.EXCERPT_FACTS])
+        assert "".join(statement) == "".join(pipelines._statement(inst, True, None)).replace(text, excerpt)
+
+    # names holding every line break str.splitlines knows ("\r\n" as "\r" then "\n"), and characters beyond ASCII
+    _NAMES = st.text(alphabet="E7é日\U0001f600\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", min_size=1, max_size=4)
+    _FACTS = st.lists(
+        st.tuples(_NAMES, _NAMES, _NAMES, st.integers(-50, 3000), st.integers(0, 40)).map(
+            lambda t: Fact(t[0], t[1], t[2], t[3], t[3] + t[4])
+        ),
+        min_size=1, max_size=12, unique=True,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FACTS, st.integers(0, 2**32))
+    def test_streamed_length_is_the_texts(self, facts, seed):
+        g = TKG(facts)
+        assert g.text_length(seed) == len(render_text(g, seed=seed))
+        assert g._texts == {seed: g.text_length(seed)}  # the length is kept, and no text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FACTS, st.integers(0, 2**32))
+    def test_head_excerpt_is_the_splitlines_form(self, instances, facts, seed):
+        inst = dataclasses.replace(instances[0], tkg=TKG(facts), render_seed=seed)
+        statement = "".join(pipelines._statement(inst, False, None))
+        assert inst.tkg._texts == {}
+        text = render_text(inst.tkg, seed=seed)
+        excerpt = "\n".join(render_text(inst.tkg, seed=seed).splitlines()[: pipelines.EXCERPT_FACTS])
+        assert statement == "".join(pipelines._statement(inst, True, None)).replace(text, excerpt)
 
     @pytest.mark.parametrize(
         "text",
