@@ -208,7 +208,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # indexes, so that no job's wall_time includes either; the indexes come
     # after the render so that they are not held beneath the render's peak.
     # Only a technique that reads the text has it rendered; the excerpt
-    # techniques need only its length, for the rows' token estimate.
+    # techniques need only its length, for the rows' token estimate, which
+    # TKG.text_length computes from the template draws and the field lengths
+    # without making a sentence.
     reads_text = any(pipelines._TECHNIQUES[tech][1] for tech in techniques)  # its full-text flag
     for inst in instances:
         inst.tkg_text if reads_text else inst.token_estimate

@@ -20,24 +20,30 @@ class InvalidFactError(TkgqaError):
         super().__init__(f"invalid fact at index {index}: {reason}")
 
 
-class InvalidIntervalError(TkgqaError):
-    """A fact interval has t0 > t1."""
+def _placed(what: str, index: int | None, line: int | None) -> str:
+    """``what`` placed by its 1-based file ``line`` when it has one, else by its ``index`` in the graph."""
+    return f"line {line}: {what}" if line is not None else f"{what} at index {index}" if index is not None else what
 
-    def __init__(self, index: int | None = None, t0: int | None = None, t1: int | None = None):
+
+class InvalidIntervalError(TkgqaError):
+    """A fact interval has t0 > t1; ``line`` is the fact file's line when one was read."""
+
+    def __init__(self, index: int | None = None, t0: int | None = None, t1: int | None = None, line: int | None = None):
         self.index = index
         self.t0 = t0
         self.t1 = t1
-        where = f" at index {index}" if index is not None else ""
-        super().__init__(f"invalid interval{where}: t0={t0} > t1={t1}")
+        self.line = line
+        super().__init__(f"{_placed('invalid interval', index, line)}: t0={t0} > t1={t1}")
 
 
 class DuplicateFactError(TkgqaError):
-    """The same quintuple appears twice in one graph."""
+    """The same quintuple appears twice in one graph; ``line`` is the fact file's line when one was read."""
 
-    def __init__(self, index: int, fact=None):
+    def __init__(self, index: int | None = None, fact=None, line: int | None = None):
         self.index = index
         self.fact = fact
-        super().__init__(f"duplicate fact at index {index}: {fact}")
+        self.line = line
+        super().__init__(f"{_placed('duplicate fact', index, line)}: {fact}")
 
 
 class ParseError(TkgqaError):

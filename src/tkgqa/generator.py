@@ -660,7 +660,7 @@ class TaskInstance:
     @property
     def token_estimate(self) -> int:
         """The estimate of :attr:`tkg_text`'s tokens, from the text's length: the kept text's, or else one
-        counted without rendering the text (:meth:`TKG.text_length`)."""
+        computed without rendering the text (:meth:`TKG.text_length`)."""
         return estimate_tokens(self.tkg.text_length(self.render_seed))
 
     def to_json(self) -> dict:
@@ -838,7 +838,7 @@ def import_instances(source: str | Path, base_dir: str | Path | None = None) -> 
 
     Each graph file is loaded once, and its instances share that graph, so
     they share its text too, rendered when it is first read (or only its
-    length counted, when that is all that is read).  A repeated
+    length computed, when that is all that is read).  A repeated
     instance id is a :class:`ParseError`: transcripts and rows name an
     instance by its id.
     """

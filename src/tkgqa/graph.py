@@ -11,10 +11,13 @@ Graphs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import random
 import re
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -73,15 +76,16 @@ class Fact(NamedTuple):
         return self.t1 - self.t0
 
 
-def _check_fact(index: int, raw, shared: dict) -> Fact:
+def _check_fact(index: int, raw, share: Callable) -> Fact:
     """``raw`` as a :class:`Fact`, or the error for its first invalid field.
 
     The one validation of fact fields: ``s``, ``r`` and ``o`` are non-empty
     strings, ``t0`` and ``t1`` are integers (not booleans) with t0 <= t1.  A
     :class:`Fact` is kept as given; a fact given as a sequence is built from
-    ``shared``'s object for each value, so a graph read from a file holds one
-    object per distinct name and year.  The lookup comes after the type checks:
-    ``True``, ``1`` and ``1.0`` are equal keys, and a list is no key at all.
+    ``share(value, value)`` for each value, ``share`` being a table's
+    ``setdefault``, so a graph holds one object per distinct name and year.
+    The lookup comes after the type checks: ``True``, ``1`` and ``1.0`` are
+    equal keys, and a list is no key at all.
     """
     try:
         s, r, o, t0, t1 = raw
@@ -93,10 +97,7 @@ def _check_fact(index: int, raw, shared: dict) -> Fact:
         raise InvalidFactError(index, f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
     if t0 > t1:
         raise InvalidIntervalError(index=index, t0=t0, t1=t1)
-    if isinstance(raw, Fact):
-        return raw
-    share = shared.setdefault
-    return Fact(share(s, s), share(r, r), share(o, o), share(t0, t0), share(t1, t1))
+    return raw if isinstance(raw, Fact) else Fact(share(s, s), share(r, r), share(o, o), share(t0, t0), share(t1, t1))
 
 
 _INDEX_SLOTS = ("_by_s", "_by_r", "_by_o")  # TKG's index attribute by field number
@@ -120,9 +121,9 @@ class TKG:
     def __init__(self, facts: Iterable[Fact | tuple] = ()):
         clean: list[Fact] = []
         seen: set[Fact] = set()
-        shared: dict = {}  # each name and year of a fact given as a sequence, once
+        share = {}.setdefault  # each name and year of a fact given as a sequence, once
         for i, raw in enumerate(facts):
-            f = _check_fact(i, raw, shared)
+            f = _check_fact(i, raw, share)
             if f in seen:
                 raise DuplicateFactError(index=i, fact=f)
             seen.add(f)
@@ -183,11 +184,19 @@ class TKG:
         return text
 
     def text_length(self, seed: int) -> int:
-        """``len(render_text(self, seed=seed))``: the kept text's length, or else one counted sentence by
-        sentence, so that no sentence outlives its count, and kept in the text's place."""
+        """``len(render_text(self, seed=seed))``: the kept text's length, or else one computed without a
+        sentence, and kept in the text's place.
+
+        Each default template names each field once, so a sentence is its
+        template's literal text and its fields' text: the length is the drawn
+        templates' literal lengths, each distinct field value's length times its
+        count, and the newlines between the sentences.
+        """
         kept = self._texts.get(seed)
         if kept is None:
-            kept = self._texts[seed] = sum(map(len, sentences(self, seed=seed))) + max(len(self) - 1, 0)
+            literals = sum(map(_LITERAL_LENGTH.__getitem__, _template_draws(DEFAULT_FACT_TEMPLATES, seed, self)))
+            fields = sum(len(str(v)) * n for v, n in Counter(chain.from_iterable(self.facts)).items())
+            kept = self._texts[seed] = literals + fields + max(len(self) - 1, 0)  # and the newlines between sentences
         return kept if type(kept) is int else len(kept)
 
     def query(self, s: str | None = None, r: str | None = None, o: str | None = None) -> list[Fact]:
@@ -285,34 +294,55 @@ def save_tkg(g: TKG, sink: str | Path | IO[str]) -> None:
 def load_tkg(source: str | Path | IO[str]) -> TKG:
     """Parse a fact file written by :func:`save_tkg`; order is significant.
 
-    A line as :func:`save_tkg` writes it is read by one regex and any other as
-    JSON, to the same fields; field errors are :class:`ParseError` with the file line.
+    A line as :func:`save_tkg` writes it is read by one regex, straight to a
+    :class:`Fact`, with each distinct year's digits converted once; any other
+    line is read as JSON and checked by :func:`_check_fact`, to the same fields.
+    Both take names and years from one table, so the graph holds one object per
+    distinct value.  The cyclic garbage collector is paused while the file is
+    read.  Every fact error names its 1-based file line: a field error is a
+    :class:`ParseError`, and an :class:`InvalidIntervalError` or a
+    :class:`DuplicateFactError` has the line in its ``line``.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as lines:
             return load_tkg(lines)
     line_no = 0
+    # one share table for both paths, so that each name and year is one object;
+    # year() keeps each year's digits -> its shared int, so int() runs once a
+    # year, and a canonical line's Fact skips the NamedTuple keyword constructor
+    share, match, new = {}.setdefault, _FACT_LINE_RE.fullmatch, tuple.__new__
+    year = functools.cache(lambda digits: share(t := int(digits), t))
 
-    def facts() -> Iterator[tuple]:
+    def facts() -> Iterator[Fact]:
         nonlocal line_no
         for line_no, line in enumerate(source, start=1):
-            m = _FACT_LINE_RE.fullmatch(line)
-            if m is not None:
+            if (m := match(line)) is not None:
                 s, r, o, t0, t1 = m.groups()
-                yield s, r, o, int(t0), int(t1)
+                yield new(Fact, (share(s, s), share(r, r), share(o, o), year(t0), year(t1)))
             elif line.strip():
                 obj = _json_object(line_no, line)
                 if obj.keys() != _FACT_KEYS:
                     raise ParseError(line_no, f"fact keys must be exactly {list(Fact._fields)}, got {sorted(obj)}")
-                yield obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]
+                yield _check_fact(line_no, (obj["s"], obj["r"], obj["o"], obj["t0"], obj["t1"]), share)
 
-    # TKG checks each fact as it is read, so line_no is the line of a rejected fact
+    # Each fact is a container that the cyclic collector keeps tracking (it
+    # untracks plain tuples only), so while the file is read it would walk the
+    # growing graph again and again, and the facts hold no cycle to free: it
+    # is paused until the graph is built, and resumed only if it was running.
+    collecting = gc.isenabled()
+    gc.disable()
+    # a fact is checked as it is read, so line_no is the line of a rejected fact
     try:
         return TKG(facts())
     except InvalidFactError as exc:
         raise ParseError(line_no, exc.reason) from None
     except InvalidIntervalError as exc:
-        raise InvalidIntervalError(index=line_no - 1, t0=exc.t0, t1=exc.t1) from None
+        raise InvalidIntervalError(t0=exc.t0, t1=exc.t1, line=line_no) from None
+    except DuplicateFactError as exc:
+        raise DuplicateFactError(fact=exc.fact, line=line_no) from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +356,29 @@ DEFAULT_FACT_TEMPLATES = (
 )
 
 
+# each default template's length without its fields (TKG.text_length)
+_LITERAL_LENGTH = {t: len(t.format(s="", r="", o="", t0="", t1="")) for t in DEFAULT_FACT_TEMPLATES}
+
 _RENDER_BLOCK = 4096  # sentences joined into one string before the blocks are joined
 
 
+def _template_draws(templates: tuple[str, ...], seed: int, g: TKG) -> Iterator[str]:
+    """The template of each fact of ``g``, in fact order: the one place that draws a fact's template."""
+    return map(random.Random(seed).choice, repeat(templates, len(g)))
+
+
 def sentences(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> Iterator[str]:
-    """One sentence per fact, in fact order: the one place that draws a fact's template.
+    """One sentence per fact, in fact order, each in the template :func:`_template_draws` gives it.
 
     Each sentence is made when it is asked for; the draws are seed-deterministic.
     Every field of every fact appears verbatim in its sentence, so the
-    rendering is injective on facts for a fixed seed.
+    rendering is injective on facts for a fixed seed.  :meth:`TKG.text_length`
+    takes the same draws and counts, without a sentence, what they would make.
     """
     templates = tuple(template_set) if template_set is not None else DEFAULT_FACT_TEMPLATES
     if not templates:
         raise ValueError("template_set must be non-empty")
-    choose = random.Random(seed).choice
-    return (choose(templates).format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1) for f in g.facts)
+    return (t.format(s=f.s, r=f.r, o=f.o, t0=f.t0, t1=f.t1) for t, f in zip(_template_draws(templates, seed, g), g))
 
 
 def render_text(g: TKG, template_set: Iterable[str] | None = None, seed: int = 0) -> str:

@@ -124,6 +124,29 @@ class TestGenDataset:
         assert capsys.readouterr().err == "error: cannot generate questions over a graph with no facts\n"
         assert not (workspace / "d.jsonl").exists()
 
+    _FACT = '{"s": "E1", "r": "R1", "o": "E2", "t0": 2000, "t1": 2005}'
+
+    @pytest.mark.parametrize(
+        "last, error",
+        [
+            (_FACT, "error: line 4: duplicate fact: Fact(s='E1', r='R1', o='E2', t0=2000, t1=2005)\n"),
+            (_FACT.replace("2000", "2009"), "error: line 4: invalid interval: t0=2009 > t1=2005\n"),
+            # the same faults on a line the fast path does not read
+            ('{"s":"E1","r":"R1","o":"E2","t0":2000,"t1":2005}',
+             "error: line 4: duplicate fact: Fact(s='E1', r='R1', o='E2', t0=2000, t1=2005)\n"),
+            ('{"s":"E1","r":"R1","o":"E2","t0":2009,"t1":2005}', "error: line 4: invalid interval: t0=2009 > t1=2005\n"),
+            ('{"s":"","r":"R1","o":"E2","t0":2000,"t1":2005}',
+             "error: line 4: s, r and o must be non-empty strings, got ('', 'R1', 'E2')\n"),
+        ],
+        ids=["duplicate", "interval", "duplicate-json", "interval-json", "empty-name-json"],
+    )
+    def test_fact_error_names_the_file_line(self, workspace, capsys, last, error):
+        graph = workspace / "g.jsonl"
+        graph.write_text(f"{self._FACT}\n\n\n{last}\n")
+        assert run_cli("gen-dataset", "--graph", str(graph), "--seed", "1", "--out", "d.jsonl") == 1
+        assert capsys.readouterr().err == error
+        assert not (workspace / "d.jsonl").exists()
+
     @pytest.mark.parametrize(
         "types, error",
         [

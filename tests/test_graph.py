@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import random
+import string
 import sys
 import threading
 import tracemalloc
@@ -8,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tkgqa.graph
 from tkgqa.errors import DuplicateFactError, InvalidFactError, InvalidIntervalError, ParseError
 from tkgqa.generator import GraphParams, generate_graph
 from tkgqa.graph import (
@@ -241,6 +244,20 @@ class TestSerialization:
         with pytest.raises(InvalidIntervalError):
             load_tkg(io.StringIO(line))
 
+    @pytest.mark.parametrize("compact", [False, True], ids=["save_tkg-line", "json-line"])
+    @pytest.mark.parametrize(
+        "last, error",
+        [(("E1", "R1", "E2", 2000, 2005), DuplicateFactError), (("E1", "R1", "E2", 2009, 2005), InvalidIntervalError)],
+        ids=["duplicate", "interval"],
+    )
+    def test_fact_error_names_its_file_line(self, last, error, compact):
+        separators = (",", ":") if compact else None
+        lines = [json.dumps(dict(zip(Fact._fields, f)), separators=separators) for f in (F1, F2, last)]
+        with pytest.raises(error) as err:
+            load_tkg(io.StringIO(f"{lines[0]}\n\n{lines[1]}\n\n\n{lines[2]}\n"))
+        assert type(err.value) is error and err.value.line == 6 and err.value.index is None
+        assert str(err.value).startswith("line 6: ")
+
     def test_empty_file(self):
         assert load_tkg(io.StringIO("")) == TKG([])
 
@@ -296,11 +313,20 @@ class TestSerialization:
         assert err.value.line == 2
 
     def test_loaded_graph_holds_one_object_per_distinct_value(self):
+        """Also with every other line compact JSON: the regex path and the JSON path share one table."""
+        g = random_graph(3, n_facts=60)
+        assert any(f.t0 > 256 for f in g.facts)  # years past the ints the interpreter shares anyway
+        for field in range(len(Fact._fields)):  # each field has values on odd and on even lines
+            assert {f[field] for f in g.facts[::2]} & {f[field] for f in g.facts[1::2]}
         buf = io.StringIO()
-        save_tkg(random_graph(3, n_facts=60), buf)
-        g = load_tkg(io.StringIO(buf.getvalue()))
-        values = [value for f in g.facts for value in f]
-        assert len({id(value) for value in values}) == len(set(values)) < len(values)
+        save_tkg(g, buf)
+        mixed = buf.getvalue().splitlines()
+        mixed[1::2] = [json.dumps(dict(zip(Fact._fields, f)), separators=(",", ":")) for f in g.facts[1::2]]
+        for text in (buf.getvalue(), "\n".join(mixed) + "\n"):
+            loaded = load_tkg(io.StringIO(text))
+            assert loaded == g
+            values = [value for f in loaded.facts for value in f]
+            assert len({id(value) for value in values}) == len(set(values)) < len(values)
 
     @given(
         facts=st.lists(
@@ -354,7 +380,9 @@ def _general_load(source) -> TKG:
     except InvalidFactError as exc:
         raise ParseError(line_no, exc.reason) from None
     except InvalidIntervalError as exc:
-        raise InvalidIntervalError(index=line_no - 1, t0=exc.t0, t1=exc.t1) from None
+        raise InvalidIntervalError(t0=exc.t0, t1=exc.t1, line=line_no) from None
+    except DuplicateFactError as exc:
+        raise DuplicateFactError(fact=exc.fact, line=line_no) from None
 
 
 def _load_outcome(load, text: str):
@@ -415,6 +443,40 @@ class TestFactLineFastPath:
         text = "".join(variant(line, f) + "\n" for line, f, variant in zip(lines, g.facts, variants))
         for source in (buf.getvalue(), text, text.replace("\n", "\r\n")):
             assert _load_outcome(load_tkg, source) == _load_outcome(_general_load, source)
+
+    def test_each_distinct_year_is_converted_once(self, fact_file, monkeypatch):
+        converted = []
+
+        class CountedInt(int):
+            # graph's "int" names this class for the check `type(t0) is int` too, which its own years then pass
+            def __new__(cls, digits):
+                converted.append(digits)
+                return super().__new__(cls, digits)
+
+        monkeypatch.setattr(tkgqa.graph, "int", CountedInt, raising=False)
+        g = load_tkg(fact_file)
+        monkeypatch.undo()
+        years = {t for f in g.facts for t in (f.t0, f.t1)}
+        assert len(g) == N_FACTS and 0 < len(converted) <= len(years)
+        assert sorted(map(int, converted)) == sorted(years)
+
+    @pytest.mark.parametrize("text", ["", f"{json.dumps(dict(zip(Fact._fields, F1)))}\n", "not json\n",
+                                      '{"s": "E1", "r": "R1", "o": "E2", "t0": 2009, "t1": 2005}\n'])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_while_reading_and_then_restored(self, text, enabled, monkeypatch):
+        states = []
+        real_check = tkgqa.graph._check_fact
+        monkeypatch.setattr(tkgqa.graph, "_check_fact", lambda *a: states.append(gc.isenabled()) or real_check(*a))
+        gc.enable() if enabled else gc.disable()
+        try:
+            try:
+                load_tkg(io.StringIO(text))
+            except (ParseError, InvalidIntervalError):
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert states == [False] * bool(text.startswith("{"))
 
     def test_a_save_tkg_file_calls_json_for_no_line(self, fact_file, monkeypatch):
         decoded = []
@@ -502,6 +564,30 @@ class TestRenderText:
         for seed in (0, 11):
             assert render_text(g, seed=seed) == self.one_list_render(g, DEFAULT_FACT_TEMPLATES, seed)
             assert render_text(g, template_set=iter(custom), seed=seed) == self.one_list_render(g, custom, seed)
+
+
+class TestTextLength:
+    def test_each_default_template_names_each_field_once(self):
+        for template in DEFAULT_FACT_TEMPLATES:
+            fields = [(name, conversion, spec) for _, name, spec, conversion in string.Formatter().parse(template)
+                      if name is not None]
+            assert sorted(fields) == sorted((name, None, "") for name in Fact._fields), template
+
+    def test_computed_without_a_sentence(self, monkeypatch):
+        class Unformattable(str):
+            def __format__(self, spec):
+                raise AssertionError("a field was formatted")
+
+        def no_sentences(*args, **kwargs):
+            raise AssertionError("a sentence was asked for")
+
+        facts = [(Unformattable(f"E{i}"), Unformattable("R1"), Unformattable("E0"), -i, 10**17 + i) for i in range(50)]
+        g = TKG(facts)
+        expected = len(render_text(TKG(tuple(map(str, f[:3])) + f[3:] for f in facts), seed=4))
+        for name in ("sentences", "render_text"):
+            monkeypatch.setattr(tkgqa.graph, name, no_sentences)
+        assert g.text_length(4) == expected
+        assert g._texts == {4: expected}
 
 
 def test_interval_helpers():

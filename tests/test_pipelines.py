@@ -417,15 +417,17 @@ class TestExcerpt:
 
     # names holding every line break str.splitlines knows ("\r\n" as "\r" then "\n"), and characters beyond ASCII
     _NAMES = st.text(alphabet="E7é日\U0001f600\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", min_size=1, max_size=4)
-    _FACTS = st.lists(
-        st.tuples(_NAMES, _NAMES, _NAMES, st.integers(-50, 3000), st.integers(0, 40)).map(
-            lambda t: Fact(t[0], t[1], t[2], t[3], t[3] + t[4])
-        ),
-        min_size=1, max_size=12, unique=True,
+    # years of every sign and width the fact file's fast path reads: negative, zero, and 18 digits either way
+    _YEARS = st.integers(-50, 3000) | st.sampled_from([0, -1, -9, 10**17, 10**18 - 41, -(10**17), -(10**18 - 1)])
+    _FACT = st.tuples(_NAMES, _NAMES, _NAMES, _YEARS, st.integers(0, 40)).map(
+        lambda t: Fact(t[0], t[1], t[2], t[3], t[3] + t[4])
     )
+    _FACTS = st.lists(_FACT, min_size=1, max_size=12, unique=True)
 
     @settings(max_examples=300, deadline=None)
-    @given(_FACTS, st.integers(0, 2**32))
+    @given(st.lists(_FACT, max_size=12, unique=True), st.integers(0, 2**32))
+    @example([], 0)
+    @example([Fact("E1", "R1", "E2", -(10**17), 0), Fact("E1", "R1", "E2", 0, 10**18 - 1)], 5)
     def test_streamed_length_is_the_texts(self, facts, seed):
         g = TKG(facts)
         assert g.text_length(seed) == len(render_text(g, seed=seed))
@@ -731,7 +733,7 @@ class TestStructuringWork:
         )
         monkeypatch.setattr(pipelines, "_structuring_program", lambda g: programs.append(g) or real_program(g))
         monkeypatch.setattr(
-            graph_module, "_check_fact", lambda i, raw, shared: checks.append(i) or real_check(i, raw, shared)
+            graph_module, "_check_fact", lambda i, raw, share: checks.append(i) or real_check(i, raw, share)
         )
         monkeypatch.setattr(TKG, "_build_index", lambda g, field: builds.append((g, field)) or real_build(g, field))
         self.run_all(instances_2k)
