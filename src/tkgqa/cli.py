@@ -46,11 +46,11 @@ API_KEY_ENV = "TKGQA_API_KEY"
 CONFIG_DEFAULTS = {
     "base_url": "",
     "model": "",
-    "temperature": "0",
-    "max_tokens": "1024",
-    "parallelism": "4",
-    "threshold": "0.8",
-    "bin_width": "500",
+    "temperature": 0.0,
+    "max_tokens": 1024,
+    "parallelism": 4,
+    "threshold": 0.8,
+    "bin_width": 500,
 }
 
 
@@ -102,8 +102,11 @@ def _names(text: str, known, what: str) -> list[str]:
     return names
 
 
-def load_config(path: str | Path | None) -> dict[str, str]:
-    """Parse and check a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS."""
+def load_config(path: str | Path | None) -> dict:
+    """Parse and check a `key = value` config file ('#' starts a comment); keys are those of CONFIG_DEFAULTS.
+
+    Each value is read by its key's parser, so the settings are of the defaults' types.
+    """
     config = dict(CONFIG_DEFAULTS)
     if path is None:
         return config
@@ -117,16 +120,15 @@ def load_config(path: str | Path | None) -> dict[str, str]:
         if key not in CONFIG_DEFAULTS:
             raise TkgqaError(f"config line {line_no}: unknown key {key!r}")
         try:
-            CONFIG_PARSERS.get(key, str)(value)
+            config[key] = CONFIG_PARSERS.get(key, str)(value)
         except ValueError as exc:
             raise TkgqaError(f"config line {line_no}: {key}: {exc}") from None
-        config[key] = value
     return config
 
 
 def _setting(args_value, config: dict, key: str):
-    """The CLI value if given, else the config value read by its parser."""
-    return args_value if args_value is not None else CONFIG_PARSERS.get(key, str)(config[key])
+    """The CLI value if given, else the config value."""
+    return args_value if args_value is not None else config[key]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     types = _names(args.types, QUESTION_TYPES, "question types") if args.types else None
     graph_path = Path(args.graph)
     g = load_tkg(graph_path)
+    gc.freeze()  # the graph lives for the whole command; keep the cyclic collector from re-walking its facts
     out_path = Path(args.out)
     tkg_ref = os.path.relpath(graph_path, start=out_path.parent)
     instances = generate_instances(
@@ -182,6 +185,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instances = import_instances(args.dataset)
+    gc.freeze()  # as in gen-dataset, for the loaded graphs
     failures = _report_verify_failures(instances, sys.stdout)
     print(f"verified {len(instances) - failures}/{len(instances)} instances")
     return 1 if failures else 0
@@ -204,20 +208,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("provide exactly one of --mock or a live endpoint (--base-url/--model)")
     instances = import_instances(args.dataset)
     techniques = _names(args.technique, pipelines.TECHNIQUES, "techniques")
-    # derive each graph's text now, once per graph and seed, then build its
-    # indexes, so that no job's wall_time includes either; the indexes come
-    # after the render so that they are not held beneath the render's peak.
-    # Only a technique that reads the text has it rendered; the excerpt
-    # techniques need only its length, for the rows' token estimate, which
-    # TKG.text_length computes from the template draws and the field lengths
-    # without making a sentence.
-    reads_text = any(pipelines._TECHNIQUES[tech][1] for tech in techniques)  # its full-text flag
-    for inst in instances:
-        inst.tkg_text if reads_text else inst.token_estimate
-    for inst in instances:
-        inst.tkg.build_indexes()
-    # the prompt templates and the schema text are built once per process; the first job would pay for them
-    warm_caches()
+    # so that no job's wall_time includes the texts, the indexes or the prompt caches
+    warm_caches(instances, techniques)
     # the loaded graphs with their indexes, the instances and the texts live for
     # the whole run; keep the cyclic collector from re-walking them while jobs allocate
     gc.freeze()
@@ -283,7 +275,11 @@ def cmd_confidence(args: argparse.Namespace) -> int:
     for line_no, obj in read_jsonl(args.input):
         if "actual" not in obj or obj["actual"] not in ("knowledge", "temporal"):
             raise ParseError(line_no, "each task needs an 'actual' label of knowledge|temporal")
-        pairs.append((obj["actual"], str(obj.get("question", "")), str(obj.get("data", ""))))
+        question, data = obj.get("question"), obj.get("data", "")
+        for key, value in (("question", question), ("data", data)):
+            if not isinstance(value, str):
+                raise ParseError(line_no, f"{key} must be a string, got {value!r}")
+        pairs.append((obj["actual"], question, data))
 
     cfg = PipelineConfig(model=_setting(args.model, config, "model") or "mock")
     # one client for every task, so an ordered mock script is read in task order

@@ -599,8 +599,8 @@ def _sample_count_with_duration(rng, g, tpl):
 def sample_call(rng: random.Random, g: TKG, qtype: str, tries: int = 50) -> FunctionCall | None:
     """Sample plausible arguments for one question type over a graph.
 
-    Used by the generator and by equivalence tests that need valid-ish calls;
-    returns None when the graph cannot support the type.
+    For tests that need valid-ish calls (the generator draws from ``_SAMPLERS``
+    itself); returns None when the graph cannot support the type.
     """
     if not g.facts:
         return None
@@ -642,15 +642,21 @@ _SAMPLERS = {
 @dataclass
 class TaskInstance:
     id: str
-    question_type: str
     question_text: str
-    answer_type: str
     gold: Answer
     canonical_call: FunctionCall
     tkg: TKG
     render_seed: int
     tkg_ref: str | None = None  # relative path used on export; inline facts if None
     template_index: int | None = None  # in-memory only, for distribution checks
+
+    @property
+    def question_type(self) -> str:
+        return self.canonical_call.name
+
+    @property
+    def answer_type(self) -> str:
+        return self.gold.kind
 
     @property
     def tkg_text(self) -> str:
@@ -753,9 +759,7 @@ def generate_instances(
                     continue
                 instance = TaskInstance(
                     id=f"{qtype}-{i:04d}",
-                    question_type=qtype,
                     question_text=question,
-                    answer_type=gold.kind,
                     gold=gold,
                     canonical_call=call,
                     tkg=g,
@@ -798,6 +802,9 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at) -> Ta
     seed = obj["render_seed"]
     if type(seed) is not int:  # bool is an int subclass
         raise ParseError(line_no, f"render_seed must be an integer, got {seed!r}")
+    for key in ("id", "question"):
+        if not isinstance(obj[key], str):
+            raise ParseError(line_no, f"{key} must be a string, got {obj[key]!r}")
     tkg_field = obj["tkg"]
     tkg_ref: str | None = None
     if isinstance(tkg_field, str):
@@ -820,11 +827,13 @@ def _instance_from_json(line_no: int, obj: dict, base_dir: Path, graph_at) -> Ta
         check_call(call)  # the oracle takes the arguments as they are written
     except (ValueError, TypeError, TkgqaError) as exc:
         raise ParseError(line_no, str(exc)) from exc
+    # the file keeps a copy of the question and answer types, which the call and the gold decide
+    for key, derived, source in (("type", call.name, "canonical_call"), ("answer_type", gold.kind, "gold")):
+        if obj[key] != derived:
+            raise ParseError(line_no, f"{key} {obj[key]!r} disagrees with the {source}'s {derived!r}")
     return TaskInstance(
-        id=str(obj["id"]),
-        question_type=str(obj["type"]),
-        question_text=str(obj["question"]),
-        answer_type=str(obj["answer_type"]),
+        id=obj["id"],
+        question_text=obj["question"],
         gold=gold,
         canonical_call=call,
         tkg=graph,

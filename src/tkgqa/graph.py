@@ -3,9 +3,10 @@
 A fact is a quintuple (s, r, o, t0, t1): subject entity ``s`` holds relation
 ``r`` towards object entity ``o`` over the closed integer interval
 ``[t0, t1]`` (years by default).  A graph derives its entity and relation
-vocabularies from its facts, keeps facts in insertion order, and serves
-wildcard pattern queries from per-field hash indexes, each built by the first
-query that binds its field or ahead of time by :meth:`TKG.build_indexes`.
+vocabularies from its facts when they are read, keeps facts in insertion
+order, and serves wildcard pattern queries from per-field hash indexes, each
+built by the first query that binds its field or ahead of time by
+:meth:`TKG.build_indexes`.
 Graphs are immutable after construction and safe to share across threads.
 """
 
@@ -116,7 +117,7 @@ class TKG:
     store is atomic, so a graph stays safe to share across threads.
     """
 
-    __slots__ = ("facts", "entities", "relations", "_by_s", "_by_r", "_by_o", "_hash", "_texts")
+    __slots__ = ("facts", "_by_s", "_by_r", "_by_o", "_hash", "_texts")
 
     def __init__(self, facts: Iterable[Fact | tuple] = ()):
         clean: list[Fact] = []
@@ -130,13 +131,19 @@ class TKG:
             clean.append(f)
         del seen  # freed before the copy below, which would otherwise peak beside it
         self.facts: tuple[Fact, ...] = tuple(clean)
-        self.entities: frozenset[str] = frozenset({f.s for f in clean} | {f.o for f in clean})
-        self.relations: frozenset[str] = frozenset({f.r for f in clean})
         self._by_s: dict[str, list[Fact]] | None = None
         self._by_r: dict[str, list[Fact]] | None = None
         self._by_o: dict[str, list[Fact]] | None = None
         self._hash: int | None = None
         self._texts: dict[int, str | int] = {}  # by seed, the text or, until it is rendered, its length
+
+    @property
+    def entities(self) -> frozenset[str]:
+        return frozenset({f.s for f in self.facts} | {f.o for f in self.facts})
+
+    @property
+    def relations(self) -> frozenset[str]:
+        return frozenset({f.r for f in self.facts})
 
     def __len__(self) -> int:
         return len(self.facts)

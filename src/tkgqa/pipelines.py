@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .answers import Answer, FunctionCall
 from .dsl import ErrorValue, Program, execute, extract_fenced_source, parse
@@ -161,11 +161,15 @@ class PipelineResult:
     explanation: str = ""
     transcript: list = field(default_factory=list)  # ordered {step, prompt, reply} turns; prompts as _stored_prompt makes them
     wall_time: float = 0.0
-    llm_calls: int = 0
     function_calls: list = field(default_factory=list)  # (FunctionCall, associated)
     reflexions: int = 0
     errors: list = field(default_factory=list)
     parse_error: bool = False
+
+    @property
+    def llm_calls(self) -> int:
+        """The model calls made, each recorded as one turn as soon as the model replies."""
+        return len(self.transcript)
 
     def transcript_record(self, stored: dict[bytes, tuple[int, ...]], line: int) -> dict:
         """This result's line of a transcripts file (timings deliberately excluded).
@@ -708,36 +712,32 @@ def coerce_answer(answer_type: str, raw) -> Answer | None:
     """
     if isinstance(raw, Answer):
         return raw if raw.kind == answer_type else None
-    try:
-        if answer_type == "entity":
-            return Answer("entity", raw.strip()) if isinstance(raw, str) else None
-        if answer_type == "entity_list":
-            if isinstance(raw, str):
-                raw = [raw]
-            if isinstance(raw, (list, tuple)) and all(isinstance(v, str) for v in raw):
-                return Answer("entity_list", [v.strip() for v in raw])
-            return None
-        if answer_type == "boolean":
-            if isinstance(raw, bool):
-                return Answer("boolean", raw)
-            if isinstance(raw, str):
-                word = raw.strip().lower()
-                if word in _TRUE_WORDS:
-                    return Answer("boolean", True)
-                if word in _FALSE_WORDS:
-                    return Answer("boolean", False)
-            return None
-        if answer_type in ("count", "duration", "time_point"):
-            value = _coerce_int(raw)
-            return Answer(answer_type, value) if value is not None else None
-        if answer_type == "time_interval":
-            if isinstance(raw, (list, tuple)) and len(raw) == 2:
-                a, b = (_coerce_int(v) for v in raw)
-                if a is not None and b is not None:
-                    return Answer("time_interval", (a, b))
-            return None
-    except ValueError:
+    if answer_type == "entity":
+        return Answer("entity", raw.strip()) if isinstance(raw, str) else None
+    if answer_type == "entity_list":
+        if isinstance(raw, str):
+            raw = [raw]
+        if isinstance(raw, (list, tuple)) and all(isinstance(v, str) for v in raw):
+            return Answer("entity_list", [v.strip() for v in raw])
         return None
+    if answer_type == "boolean":
+        if isinstance(raw, bool):
+            return Answer("boolean", raw)
+        if isinstance(raw, str):
+            word = raw.strip().lower()
+            if word in _TRUE_WORDS:
+                return Answer("boolean", True)
+            if word in _FALSE_WORDS:
+                return Answer("boolean", False)
+        return None
+    if answer_type in ("count", "duration", "time_point"):
+        value = _coerce_int(raw)
+        return Answer(answer_type, value) if value is not None else None
+    if answer_type == "time_interval":
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
+            a, b = (_coerce_int(v) for v in raw)
+            if a is not None and b is not None:
+                return Answer("time_interval", (a, b))
     return None
 
 
@@ -762,7 +762,7 @@ def select_function(reply: str) -> FunctionCall:
 
 
 class _Chain:
-    """One conversation with call accounting: the only caller of ``client.complete``.
+    """One conversation, recorded turn by turn: the only caller of ``client.complete``.
 
     ``instance`` is the job's instance, whose rendered text the recorded
     prompts leave out (None for a chain that has no instance), and ``memo``
@@ -793,7 +793,6 @@ class _Chain:
             step=step,
         )
         self.messages.append({"role": "assistant", "content": reply})
-        self.result.llm_calls += 1
         self.result.transcript.append({"step": step, "prompt": _stored_prompt(pieces, self._text(pieces)), "reply": reply})
         return reply
 
@@ -815,7 +814,7 @@ def _statement(instance: TaskInstance, full_text: bool, prompts_dir: Path | None
     # each sentence is a line or more and ends in ".", so the text's first lines lie in its first sentences
     head = itertools.islice(sentences(instance.tkg, seed=instance.render_seed), EXCERPT_FACTS)
     data = instance.tkg_text if full_text else _excerpt("\n".join(head))
-    hint = _ANSWER_HINTS.get(instance.answer_type, "")
+    hint = _ANSWER_HINTS[instance.answer_type]
     fields = {"question": instance.question_text, "answer_hint": hint, "data": data}
     return _fill(_template("statement", prompts_dir), fields)
 
@@ -973,8 +972,21 @@ def _schema_text() -> str:
     return json.dumps(schema_bundle(), indent=2)
 
 
-def warm_caches() -> None:
-    """Fill the caches of every default prompt template and of the schema text, each built once per process."""
+def warm_caches(instances: Sequence[TaskInstance] = (), techniques: Iterable[str] = ()) -> None:
+    """Do before the first job what the jobs of ``techniques`` over ``instances`` would otherwise each pay for.
+
+    Each graph's text is rendered, once per graph and seed, when a technique
+    reads it, and otherwise only its length computed (:meth:`TKG.text_length`),
+    for the rows' token estimate; then each graph's indexes are built, after
+    the render so that they are not held beneath its peak.  Last come the
+    caches of every default prompt template and of the schema text, each built
+    once per process.
+    """
+    reads_text = any(_TECHNIQUES[tech][1] for tech in techniques)  # its full-text flag
+    for inst in instances:
+        inst.tkg_text if reads_text else inst.token_estimate
+    for inst in instances:
+        inst.tkg.build_indexes()
     for path in _PROMPTS_DIR.glob("*.txt"):
         _template(path.stem, None)  # the key that _Chain.ask uses when cfg.prompts_dir is None
     _schema_text()

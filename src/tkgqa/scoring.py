@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -59,8 +59,6 @@ def score(pred: PipelineResult | Answer | None, gold: Answer, question_type: str
         if question_type in ORDERED_LIST_TYPES:
             return mine == theirs
         return set(mine) == set(theirs)
-    if gold.kind == "time_interval":
-        return tuple(pred.value) == tuple(gold.value)
     return pred.value == gold.value
 
 
@@ -96,20 +94,40 @@ class ScoredRow:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScoredRow":
-        wall_time = float(obj["wall_time"])
-        if not 0 <= wall_time < cls.MAX_WALL_TIME:  # also false for nan
-            raise ValueError(f"wall_time must be at least 0 and below {cls.MAX_WALL_TIME:g} s, got {wall_time!r}")
-        return cls(
-            instance_id=str(obj["instance_id"]),
-            question_type=str(obj["question_type"]),
-            technique=str(obj["technique"]),
-            correct=bool(obj["correct"]),
-            wall_time=wall_time,
-            llm_calls=int(obj["llm_calls"]),
-            token_estimate=int(obj["token_estimate"]),
-            parse_error=bool(obj.get("parse_error", False)),
-            function_calls=tuple((str(n), bool(a)) for n, a in obj.get("function_calls", [])),
-        )
+        """The row a rows-file object holds; each field must be of the JSON type :meth:`to_json` writes."""
+        obj = {"parse_error": False, "function_calls": [], **obj}
+        for key, (what, ok) in _ROW_FIELDS.items():
+            if not ok(obj[key]):
+                raise ValueError(f"{key} must be {what}, got {obj[key]!r}")
+        row = cls(**{key: obj[key] for key in _ROW_FIELDS})
+        return replace(row, wall_time=float(row.wall_time), function_calls=tuple(map(tuple, row.function_calls)))
+
+
+_STRING = ("a string", lambda value: type(value) is str)
+_BOOLEAN = ("true or false", lambda value: type(value) is bool)
+_COUNT = ("an integer at least 0", lambda value: type(value) is int and value >= 0)
+
+# each field of a rows-file object: what it must be, and the check of the value json.loads gives it, by its
+# exact type (true is a bool, which is no integer here)
+_ROW_FIELDS = {
+    "instance_id": _STRING,
+    "question_type": _STRING,
+    "technique": _STRING,
+    "correct": _BOOLEAN,
+    "parse_error": _BOOLEAN,
+    "llm_calls": _COUNT,
+    "token_estimate": _COUNT,
+    # a finite bound, so that sums over rows stay finite; nan fails every comparison
+    "wall_time": (
+        f"a number at least 0 and below {ScoredRow.MAX_WALL_TIME:g} s",
+        lambda value: type(value) in (int, float) and 0 <= value < ScoredRow.MAX_WALL_TIME,
+    ),
+    "function_calls": (
+        "a list of [name, true or false] pairs",
+        lambda value: type(value) is list
+        and all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is bool for p in value),
+    ),
+}
 
 
 def make_row(instance, result: PipelineResult, correct: bool) -> ScoredRow:
@@ -135,7 +153,7 @@ def load_rows(source: str | Path) -> list[ScoredRow]:
     for line_no, obj in read_jsonl(source):
         try:
             rows.append(ScoredRow.from_json(obj))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), float(10**400)
+        except (KeyError, ValueError) as exc:
             raise ParseError(line_no, f"bad scored row: {exc}") from exc
     return rows
 

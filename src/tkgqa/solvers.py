@@ -54,24 +54,6 @@ __all__ = [
     "schema_bundle",
     "check_call",
     "dispatch",
-    # the seventeen solvers
-    "timeline",
-    "before_after",
-    "event_at_time_t",
-    "event_at_what_time",
-    "first_last",
-    "event_at_the_time_of_another_event",
-    "number_of_events_in_time_interval",
-    "relation_duration",
-    "get_entity_by_duration",
-    "find_entities_during_triplet",
-    "get_entities_in_between",
-    "calculate_total_relation_time",
-    "is_triplet_within_timespan",
-    "check_interval_without_relation",
-    "compare_triplet_durations",
-    "sequence_of_relations_in_interval",
-    "count_relations_with_duration",
 ]
 
 
@@ -530,20 +512,20 @@ _ENTITY_PATTERN_DOC = (
 
 
 def _def(
-    name: str,
     logic: Callable,
     answer_kind: str,
     description: str,
     params: list[Param],
     examples: tuple[str, ...],
 ) -> None:
+    """Register ``logic`` under its own name, the name its schema shows and its calls use."""
+    name = logic.__name__
     if name in _REGISTRY:
         raise ValueError(f"function {name!r} registered twice")
     _REGISTRY[name] = FunctionSpec(name, logic, description, tuple(params), examples, answer_kind)
 
 
 _def(
-    "timeline",
     timeline,
     "entity_list",
     "List every entity at the wildcard position of the pattern, sorted by episode "
@@ -563,7 +545,6 @@ _def(
 )
 
 _def(
-    "before_after",
     before_after,
     "entity",
     "Return the entity immediately before or after the pivot entity's episode, in "
@@ -581,7 +562,6 @@ _def(
 )
 
 _def(
-    "event_at_time_t",
     event_at_time_t,
     "entity_list",
     "List the entities at the wildcard position whose episode covers the year t "
@@ -595,7 +575,6 @@ _def(
 )
 
 _def(
-    "event_at_what_time",
     event_at_what_time,
     "time",
     "Return when the fully bound triplet (s, r, o) held: its start year, end year, or "
@@ -613,7 +592,6 @@ _def(
 )
 
 _def(
-    "first_last",
     first_last,
     "entity",
     "Return the wildcard-position entity of the episode with the earliest ('first') or "
@@ -625,7 +603,6 @@ _def(
 )
 
 _def(
-    "event_at_the_time_of_another_event",
     event_at_the_time_of_another_event,
     "entity_list",
     "Anchor on the single episode of the fully bound anchor triplet, take its start or "
@@ -643,7 +620,6 @@ _def(
 )
 
 _def(
-    "number_of_events_in_time_interval",
     number_of_events_in_time_interval,
     "count",
     "Count the episodes matching the pattern whose whole interval [t0, t1] is contained "
@@ -657,7 +633,6 @@ _def(
 )
 
 _def(
-    "relation_duration",
     relation_duration,
     "duration",
     "Duration in years (t1 - t0) of one episode of the fully bound triplet (s, r, o). "
@@ -672,7 +647,6 @@ _def(
 )
 
 _def(
-    "get_entity_by_duration",
     get_entity_by_duration,
     "entity",
     "Return the wildcard-position entity of the longest or shortest episode among the "
@@ -684,7 +658,6 @@ _def(
 )
 
 _def(
-    "find_entities_during_triplet",
     find_entities_during_triplet,
     "entity_list",
     "List the entities at the query pattern's wildcard position whose episode OVERLAPS "
@@ -699,7 +672,6 @@ _def(
 )
 
 _def(
-    "get_entities_in_between",
     get_entities_in_between,
     "entity_list",
     "List the entities whose episode starts strictly after the from-entity's episode "
@@ -717,7 +689,6 @@ _def(
 )
 
 _def(
-    "calculate_total_relation_time",
     calculate_total_relation_time,
     "duration",
     "Total years covered by all episodes matching the pattern. Overlapping or touching "
@@ -733,7 +704,6 @@ _def(
 )
 
 _def(
-    "is_triplet_within_timespan",
     is_triplet_within_timespan,
     "boolean",
     "True iff some episode of the fully bound triplet (s, r, o) is CONTAINED in the "
@@ -744,7 +714,6 @@ _def(
 )
 
 _def(
-    "check_interval_without_relation",
     check_interval_without_relation,
     "boolean",
     "True iff, inside the window, there is a stretch strictly longer than min_gap years "
@@ -763,7 +732,6 @@ _def(
 )
 
 _def(
-    "compare_triplet_durations",
     compare_triplet_durations,
     "boolean",
     "Compare the total merged durations of two fully bound triplets. 'longer' asks "
@@ -781,7 +749,6 @@ _def(
 )
 
 _def(
-    "sequence_of_relations_in_interval",
     sequence_of_relations_in_interval,
     "boolean",
     "True iff the listed relation events can occur in the given order inside the "
@@ -800,7 +767,6 @@ _def(
 )
 
 _def(
-    "count_relations_with_duration",
     count_relations_with_duration,
     "count",
     "Count the episodes matching the pattern that OVERLAP the window and whose duration "
@@ -817,6 +783,8 @@ _def(
         "window=[2000, 2020]) -> 3 when all three overlapping episodes last at least 4 years.",
     ),
 )
+
+__all__ += function_names()  # the seventeen solvers, by the names they are registered under
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import tkgqa.cli
 import tkgqa.generator
 import tkgqa.graph
 import tkgqa.pipelines
+import tkgqa.scoring
 from tkgqa.cli import build_parser, load_config, main
 from tkgqa.errors import ClientError
 from tkgqa.generator import import_instances
@@ -260,6 +261,73 @@ class TestVerify:
         assert run_cli("verify", "--dataset", str(dataset)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line_no}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("type", "first_last", "type 'first_last' disagrees with the canonical_call's 'before_after'"),
+        ("answer_type", "entity_list", "answer_type 'entity_list' disagrees with the gold's 'entity'"),
+        ("type", None, "type None disagrees with the canonical_call's 'before_after'"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    def test_type_that_disagrees_with_the_call_or_gold_is_a_line_error(self, workspace, capsys, command, key, value,
+                                                                     error):
+        """A line's type and answer_type are copies of its call's name and its gold's kind, which decide them."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        lines = dataset.read_text().splitlines()
+        second = json.loads(lines[1])
+        assert (second["type"], second["answer_type"]) == ("before_after", "entity")
+        second[key] = value
+        lines[1] = json.dumps(second, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["--technique", "direct", "--mock", "oracle", "--rows", "rows.jsonl"] if command == "eval" else []
+        assert run_cli(command, "--dataset", str(dataset), *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 2: {error}\n" and captured.out == ""
+        assert not (workspace / "rows.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [("id", 7), ("id", None), ("question", None), ("question", ["q"])])
+    def test_id_or_question_that_is_no_string_is_a_line_error(self, workspace, capsys, key, value):
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        lines = dataset.read_text().splitlines()
+        second = json.loads(lines[1])
+        second[key] = value
+        lines[1] = json.dumps(second, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        assert capsys.readouterr().err == f"error: line 2: {key} must be a string, got {value!r}\n"
+
+    @pytest.mark.parametrize("kind, value, reason", [
+        ("entity", 5, "entity answer must be a string"),
+        ("entity", ["E1"], "entity answer must be a string"),
+        ("entity_list", ["E1", 5], "entity_list answer must hold strings"),
+        ("entity_list", [None], "entity_list answer must hold strings"),
+        ("boolean", "true", "boolean answer must be a bool"),
+        ("boolean", 1, "boolean answer must be a bool"),
+        ("count", True, "count answer must be an integer"),
+        ("duration", 2.0, "duration answer must be an integer"),
+        ("time_point", False, "time_point answer must be an integer"),
+        ("time_point", 1999.5, "time_point answer must be an integer"),
+        ("time_interval", [2000, 2005.0], "time_interval answer must be two integers"),
+        ("time_interval", [2000, True], "time_interval answer must be two integers"),
+        ("time_interval", ["2000", 2005], "time_interval answer must be two integers"),
+        ("time_interval", [2000], "not enough values to unpack"),
+        ("time_interval", [2000, 2005, 2010], "too many values to unpack"),
+        ("time_interval", 2000, "cannot unpack"),
+    ])
+    def test_gold_of_the_wrong_value_type_is_a_line_error(self, workspace, capsys, kind, value, reason):
+        """Each refusal of a gold value's kind check, reached from a dataset line."""
+        dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
+        lines = dataset.read_text().splitlines()
+        third = json.loads(lines[2])
+        third.update(gold={"type": kind, "value": value}, answer_type=kind)
+        lines[2] = json.dumps(third, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 3: ") and reason in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def joined_with_itself(workspace):
@@ -680,6 +748,37 @@ class TestReport:
         assert run_cli("report", "--rows", str(rows), "--format", "csv") == 0
         assert "direct,100.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value", [
+        ("correct", "false"), ("correct", 0), ("correct", None), ("parse_error", "no"), ("parse_error", 1),
+        ("llm_calls", "2"), ("llm_calls", 3.9), ("llm_calls", 2.0), ("llm_calls", True), ("llm_calls", -1),
+        ("token_estimate", "2"), ("token_estimate", 3.9), ("token_estimate", False), ("token_estimate", -1),
+        ("instance_id", 5), ("question_type", None), ("technique", ["direct"]),
+        ("wall_time", True), ("wall_time", "0.5"), ("wall_time", None),
+        ("function_calls", [["timeline", "yes"]]), ("function_calls", [["timeline", 1]]),
+        ("function_calls", [[5, True]]), ("function_calls", [["timeline"]]), ("function_calls", ["timeline"]),
+        ("function_calls", {"timeline": True}),
+    ])
+    def test_field_of_another_json_type_is_a_line_error(self, workspace, capsys, key, value):
+        """A row's fields are read as written, never converted: "false" is no false, and 3.9 no count."""
+        rows = workspace / "rows.jsonl"
+        rows.write_text(json.dumps(self.ROW) + "\n" + json.dumps(dict(self.ROW, **{key: value})) + "\n")
+        assert run_cli("report", "--rows", str(rows)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line 2: bad scored row: {key} must be ")
+        assert captured.err.endswith(f", got {value!r}\n") and captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_fields_of_their_json_types_are_read(self, workspace, capsys):
+        rows = workspace / "rows.jsonl"
+        full = dict(self.ROW, wall_time=2, llm_calls=0, token_estimate=0, parse_error=False,
+                    function_calls=[["timeline", True], ["first_last", False]])
+        rows.write_text(json.dumps(full) + "\n" + json.dumps(dict(self.ROW, correct=False, technique="cotapi")) + "\n")
+        row, other = tkgqa.scoring.load_rows(rows)
+        assert row.wall_time == 2.0 and type(row.wall_time) is float
+        assert row.function_calls == (("timeline", True), ("first_last", False))
+        assert (other.correct, other.parse_error, other.function_calls) == (False, False, ())
+        assert run_cli("report", "--rows", str(rows), "--format", "csv") == 0
+        assert "cotapi,0.0" in capsys.readouterr().out
+
 
 class TestBinWidth:
     @pytest.mark.parametrize("width", ["-5", "0", "wide"])
@@ -769,6 +868,31 @@ class TestConfidence:
         assert report["flagged"] == 1
         assert report["matrix"]["temporal"] == {"knowledge": 1, "temporal": 0}
 
+    @pytest.mark.parametrize("task, error", [
+        ({"question": None, "data": "facts"}, "question must be a string, got None"),
+        ({"question": 5}, "question must be a string, got 5"),
+        ({"data": "facts"}, "question must be a string, got None"),
+        ({"question": "q", "data": 7}, "data must be a string, got 7"),
+        ({"question": "q", "data": None}, "data must be a string, got None"),
+    ])
+    def test_question_or_data_that_is_no_string_is_a_line_error(self, workspace, capsys, task, error):
+        """No model is asked about a task whose text is not a string; the first task asks none either."""
+        tasks = workspace / "tasks.jsonl"
+        good = {"question": "When did E1 hold R1 with E2?", "actual": "temporal"}
+        tasks.write_text(json.dumps(good) + "\n" + json.dumps(dict(task, actual="knowledge")) + "\n")
+        script = workspace / "mock.json"
+        script.write_text(json.dumps([]))  # an ordered script with no reply: any model call fails
+        assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 1
+        assert capsys.readouterr().err == f"error: line 2: {error}\n"
+
+    def test_data_is_optional(self, workspace, capsys):
+        tasks = workspace / "tasks.jsonl"
+        tasks.write_text(json.dumps({"question": "When did E1 hold R1 with E2?", "actual": "temporal"}) + "\n")
+        script = workspace / "mock.json"
+        script.write_text(json.dumps({"Task: When did": '```json\n{"score": 0.9}\n```'}))
+        assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 0
+        assert "Accuracy: 100.0%" in capsys.readouterr().out
+
     def test_missing_actual_label(self, workspace, capsys):
         tasks = workspace / "tasks.jsonl"
         tasks.write_text(json.dumps({"question": "x"}) + "\n")
@@ -816,8 +940,8 @@ class TestConfig:
         path.write_text("model = gpt-test  # comment\nparallelism = 2\n\n# full comment line\n")
         config = load_config(path)
         assert config["model"] == "gpt-test"
-        assert config["parallelism"] == "2"
-        assert config["threshold"] == "0.8"  # default survives
+        assert config["parallelism"] == 2
+        assert config["threshold"] == 0.8  # default survives
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "conf.txt"
