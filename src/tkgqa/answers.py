@@ -51,10 +51,9 @@ def _normalize(kind: str, value: Any) -> Any:
             raise ValueError(f"entity answer must be a string, got {value!r}")
         return value
     if kind == "entity_list":
-        items = tuple(value)
-        if not all(isinstance(v, str) for v in items):
-            raise ValueError(f"entity_list answer must hold strings, got {value!r}")
-        return items
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"entity_list answer must be a list of strings, got {value!r}")
+        return tuple(value)
     if kind == "boolean":
         if not isinstance(value, bool):
             raise ValueError(f"boolean answer must be a bool, got {value!r}")
@@ -64,10 +63,11 @@ def _normalize(kind: str, value: Any) -> Any:
             raise ValueError(f"{kind} answer must be an integer, got {value!r}")
         return value
     if kind == "time_interval":
-        a, b = value
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (a, b)):
+        if not isinstance(value, (list, tuple)) or len(value) != 2 or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in value
+        ):
             raise ValueError(f"time_interval answer must be two integers, got {value!r}")
-        return Interval(a, b)
+        return Interval(*value)
     raise ValueError(kind)
 
 

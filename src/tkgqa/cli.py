@@ -202,10 +202,21 @@ def _make_live_client(args, config) -> LiveChatClient:
     return LiveChatClient(base_url, api_key)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _pipeline_config(args, config: dict) -> PipelineConfig:
+    """The model settings of a command that asks a model, which needs exactly one of ``--mock`` and a
+    live endpoint; a command without a ``--temperature`` flag takes the config's."""
     if (args.mock is None) == (not (args.base_url or config.get("base_url"))):
         raise UsageError("provide exactly one of --mock or a live endpoint (--base-url/--model)")
+    return PipelineConfig(
+        model=_setting(args.model, config, "model") or "mock",
+        temperature=_setting(getattr(args, "temperature", None), config, "temperature"),
+        max_tokens=config["max_tokens"],
+    )
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    cfg = _pipeline_config(args, config)
     instances = import_instances(args.dataset)
     techniques = _names(args.technique, pipelines.TECHNIQUES, "techniques")
     # so that no job's wall_time includes the texts, the indexes or the prompt caches
@@ -213,12 +224,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the loaded graphs with their indexes, the instances and the texts live for
     # the whole run; keep the cyclic collector from re-walking them while jobs allocate
     gc.freeze()
-    model = _setting(args.model, config, "model") or "mock"
-    cfg = PipelineConfig(
-        model=model,
-        temperature=_setting(args.temperature, config, "temperature"),
-        max_tokens=_setting(None, config, "max_tokens"),
-    )
 
     jobs = [(inst, tech) for tech in techniques for inst in instances]
     # one shared live client (its pacing applies across jobs); mocks are
@@ -270,6 +275,7 @@ def _render_report(report, fmt: str) -> str:
 
 def cmd_confidence(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    cfg = _pipeline_config(args, config)
     threshold = _setting(args.threshold, config, "threshold")
     pairs = []
     for line_no, obj in read_jsonl(args.input):
@@ -281,7 +287,6 @@ def cmd_confidence(args: argparse.Namespace) -> int:
                 raise ParseError(line_no, f"{key} must be a string, got {value!r}")
         pairs.append((obj["actual"], question, data))
 
-    cfg = PipelineConfig(model=_setting(args.model, config, "model") or "mock")
     # one client for every task, so an ordered mock script is read in task order
     client = _make_live_client(args, config) if args.mock is None else make_mock_client(args.mock)
     scores = [(actual, temporal_confidence(question, data, client, cfg)) for actual, question, data in pairs]

@@ -164,12 +164,16 @@ class PipelineResult:
     function_calls: list = field(default_factory=list)  # (FunctionCall, associated)
     reflexions: int = 0
     errors: list = field(default_factory=list)
-    parse_error: bool = False
 
     @property
     def llm_calls(self) -> int:
         """The model calls made, each recorded as one turn as soon as the model replies."""
         return len(self.transcript)
+
+    @property
+    def parse_error(self) -> bool:
+        """Whether the run ended without an answer: :func:`_finish` sets one only when nothing failed."""
+        return self.answer is None
 
     def transcript_record(self, stored: dict[bytes, tuple[int, ...]], line: int) -> dict:
         """This result's line of a transcripts file (timings deliberately excluded).
@@ -177,10 +181,10 @@ class PipelineResult:
         ``line`` is the line's index in the file, and ``stored`` maps the
         sha256 of each string the file already holds in full to where it
         stands; the record adds its own.  Each prompt is written as the turn
-        holds it, without the rendered text and the schema text
-        (:func:`_stored_prompt`), and each of its parts and pieces, then the
-        reply, becomes a reference to a copy held earlier when that is
-        shorter (:func:`_stored`); :func:`expand_transcripts` undoes both.
+        holds it, its pieces with ``None`` for each copy of the rendered text
+        (:func:`_stored_prompt`), and each other piece, then the reply,
+        becomes a reference to a copy held earlier when that is shorter
+        (:func:`_stored`); :func:`expand_transcripts` undoes both.
         """
         return {
             "instance_id": self.instance_id,
@@ -189,7 +193,8 @@ class PipelineResult:
             "transcript": [
                 {
                     **turn,
-                    "prompt": [_stored(part, stored, (line, index, k)) for k, part in enumerate(turn["prompt"])],
+                    "prompt": [piece if piece is None else _stored(piece, stored, (line, index, k))
+                               for k, piece in enumerate(turn["prompt"])],
                     "reply": _stored(turn["reply"], stored, (line, index)),
                 }
                 for index, turn in enumerate(self.transcript)
@@ -204,42 +209,35 @@ class PipelineResult:
         }
 
 
-def _stored_prompt(pieces: list[str], text: str) -> list:
-    """The prompt that ``pieces`` join to, as its parts around the instance's ``text`` (:func:`_cut`), each
-    part that holds the schema text as its pieces around that; ``prompt.split(text)`` but for a copy that
-    spans two pieces, as an echo in a field can."""
-    parts = [["".join(run) for run in _cut(part, _schema_text())] for part in (_cut(pieces, text) if text else [pieces])]
-    return [runs if len(runs) > 1 else runs[0] for runs in parts]
-
-
-def _cut(pieces: list[str], needle: str) -> list[list[str]]:
-    """``pieces`` as the groups of strings between the copies of ``needle`` that are a piece or lie in one:
-    a piece that is ``needle`` is known by identity, and only another that could hold a copy is searched."""
-    groups = [group := []]
+def _stored_prompt(pieces: list[str], text: str) -> list[str | None]:
+    """The ``pieces`` a prompt joins from, with ``None`` for each copy of the instance's ``text`` that is a
+    piece or lies in one: a piece that is ``text`` is known by identity, and only another that could hold a
+    copy is searched, cut as ``str.split`` cuts it.  A copy that spans two pieces, as an echo in a field can,
+    stays where it is."""
+    stored = []
     for piece in pieces:
-        if len(piece) < len(needle):
-            group.append(piece)
-            continue
-        first, *rest = ("", "") if piece is needle else piece.split(needle)
-        group.append(first)
-        for cut in rest:
-            groups.append(group := [cut])
-    return groups
+        if not text or len(piece) < len(text):
+            stored.append(piece)
+        elif piece is text:
+            stored.append(None)
+        else:
+            first, *rest = piece.split(text)
+            stored.append(first)
+            for cut in rest:
+                stored += (None, cut)
+    return stored
 
 
-def _stored(value: str | list, stored: dict[bytes, tuple[int, ...]], where: tuple[int, ...]) -> str | tuple | list:
-    """``value`` as a transcripts line stores it: a string, or where the file first held it when that is shorter.
+def _stored(value: str, stored: dict[bytes, tuple[int, ...]], where: tuple[int, ...]) -> str | tuple[int, ...]:
+    """``value`` as a transcripts line stores it: the string, or where the file first held it when that is shorter.
 
-    ``where`` is ``(line, turn)`` for a reply and ``(line, turn, part)`` for a
-    prompt part; a part split around the schema text is stored piece by piece,
-    at ``(line, turn, part, piece)``.  ``len(value) + 2`` is the least a
-    string's JSON encoding can take.
+    ``where`` is ``(line, turn)`` for a reply and ``(line, turn, k)`` for a
+    prompt's ``k``-th piece.  ``len(value) + 2`` is the least a string's JSON
+    encoding can take, and a tuple of ints has the length of its JSON array.
     """
-    if isinstance(value, list):
-        return [_stored(piece, stored, (*where, j)) for j, piece in enumerate(value)]
     digest = hashlib.sha256(value.encode("utf-8", "surrogatepass")).digest()
     earlier = stored.setdefault(digest, where)
-    if earlier != where and len(json.dumps(earlier)) < len(value) + 2:
+    if earlier != where and len(repr(earlier)) < len(value) + 2:
         return earlier
     return value
 
@@ -832,7 +830,6 @@ def _finish(result: PipelineResult, instance: TaskInstance, raw, explanation: st
         if result.answer is None:
             error = f"could not coerce {result.raw_answer!r} to {instance.answer_type}"
     if error is not None:
-        result.parse_error = True
         result.errors.append(error)
 
 
@@ -1059,25 +1056,23 @@ def expand_transcripts(records: Iterable[dict], instances: Iterable[TaskInstance
 
     ``records`` are the file's lines from its first, since a stored string may
     refer to an earlier line, and ``instances`` the dataset it was written from,
-    whose rendered texts the prompts leave out.
+    whose rendered texts stand for the ``None`` pieces of the prompts.
     """
     texts = {inst.id: inst.tkg_text for inst in instances}
-    schema = _schema_text()
     held: dict[tuple[int, ...], str] = {}  # each string written in full so far, by where it stands
 
     def resolve(value, where: tuple[int, ...]) -> str:
         if isinstance(value, str):
             held[where] = value
             return value
-        if isinstance(value[0], int):  # a reference; a part split around the schema text lists strings and references
-            return held[tuple(value)]
-        return schema.join(resolve(piece, (*where, j)) for j, piece in enumerate(value))
+        return held[tuple(value)]  # a reference
 
     for line, record in enumerate(records):
         text = texts[record["instance_id"]]
         turns = []
         for index, turn in enumerate(record["transcript"]):
-            prompt = text.join(resolve(part, (line, index, k)) for k, part in enumerate(turn["prompt"]))
+            prompt = "".join(text if piece is None else resolve(piece, (line, index, k))
+                             for k, piece in enumerate(turn["prompt"]))
             turns.append({**turn, "prompt": prompt, "reply": resolve(turn["reply"], (line, index))})
         yield {**record, "transcript": turns}
 

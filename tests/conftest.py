@@ -130,17 +130,14 @@ def golden_dsl_source(call: FunctionCall) -> str:
 def stored_strings(records):
     """``(where, value)`` of each string of transcripts records, in the order it is written and read.
 
-    ``where`` is ``(line, turn)`` for a reply, ``(line, turn, part)`` for a
-    prompt part and ``(line, turn, part, piece)`` for a piece of a part split
-    around the schema text.  ``value`` is the string as stored: in full, or
-    as a reference (a list of ints) to where it was first held.  Records built
-    from in-memory turns walk the same way, every value in full.
+    ``where`` is ``(line, turn)`` for a reply and ``(line, turn, k)`` for a
+    prompt's ``k``-th piece; a ``None`` piece stands for the instance's
+    rendered text and is no stored string.  ``value`` is the string as
+    stored: in full, or as a reference (a list of ints) to where it was first
+    held.  Records built from in-memory turns walk the same way, every value
+    in full.
     """
     for line, record in enumerate(records):
         for index, turn in enumerate(record["transcript"]):
-            for k, part in enumerate(turn["prompt"]):
-                if isinstance(part, list) and not isinstance(part[0], int):
-                    yield from (((line, index, k, j), piece) for j, piece in enumerate(part))
-                else:
-                    yield (line, index, k), part
+            yield from (((line, index, k), piece) for k, piece in enumerate(turn["prompt"]) if piece is not None)
             yield (line, index), turn["reply"]

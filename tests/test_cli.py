@@ -300,8 +300,10 @@ class TestVerify:
     @pytest.mark.parametrize("kind, value, reason", [
         ("entity", 5, "entity answer must be a string"),
         ("entity", ["E1"], "entity answer must be a string"),
-        ("entity_list", ["E1", 5], "entity_list answer must hold strings"),
-        ("entity_list", [None], "entity_list answer must hold strings"),
+        ("entity_list", ["E1", 5], "entity_list answer must be a list of strings"),
+        ("entity_list", [None], "entity_list answer must be a list of strings"),
+        ("entity_list", "E20", "entity_list answer must be a list of strings, got 'E20'"),
+        ("entity_list", {"E1": 1}, "entity_list answer must be a list of strings, got {'E1': 1}"),
         ("boolean", "true", "boolean answer must be a bool"),
         ("boolean", 1, "boolean answer must be a bool"),
         ("count", True, "count answer must be an integer"),
@@ -311,12 +313,15 @@ class TestVerify:
         ("time_interval", [2000, 2005.0], "time_interval answer must be two integers"),
         ("time_interval", [2000, True], "time_interval answer must be two integers"),
         ("time_interval", ["2000", 2005], "time_interval answer must be two integers"),
-        ("time_interval", [2000], "not enough values to unpack"),
-        ("time_interval", [2000, 2005, 2010], "too many values to unpack"),
-        ("time_interval", 2000, "cannot unpack"),
+        ("time_interval", [2000], "time_interval answer must be two integers, got [2000]"),
+        ("time_interval", [2000, 2005, 2010], "time_interval answer must be two integers, got [2000, 2005, 2010]"),
+        ("time_interval", 2000, "time_interval answer must be two integers, got 2000"),
+        ("time_interval", "ab", "time_interval answer must be two integers, got 'ab'"),
+        ("time_interval", {"a": 1, "b": 2}, "time_interval answer must be two integers"),
     ])
-    def test_gold_of_the_wrong_value_type_is_a_line_error(self, workspace, capsys, kind, value, reason):
-        """Each refusal of a gold value's kind check, reached from a dataset line."""
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    def test_gold_of_the_wrong_value_type_is_a_line_error(self, workspace, capsys, command, kind, value, reason):
+        """Each refusal of a gold value's kind check, reached from a dataset line, before any job runs."""
         dataset = gen_dataset(workspace, gen_graph(workspace), per_type=1)
         lines = dataset.read_text().splitlines()
         third = json.loads(lines[2])
@@ -324,10 +329,11 @@ class TestVerify:
         lines[2] = json.dumps(third, sort_keys=True)
         dataset.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run_cli("verify", "--dataset", str(dataset)) == 1
+        argv = ["--technique", "direct,cotapi", "--mock", "oracle", "--rows", "rows.jsonl"] if command == "eval" else []
+        assert run_cli(command, "--dataset", str(dataset), *argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: line 3: ") and reason in captured.err and captured.err.count("\n") == 1
-        assert captured.out == ""
+        assert captured.out == "" and not (workspace / "rows.jsonl").exists()
 
 
 def joined_with_itself(workspace):
@@ -557,10 +563,10 @@ class TestEval:
         records = [json.loads(line) for line in (workspace / "t.jsonl").read_text().splitlines()]
         cote, cotapi = (record["transcript"] for record in records)
         assert [turn["step"] for turn in cotapi] == ["exec_analyze", "api_select", "api_final"]
-        # the excerpt statement and the api_final prompt hold the text once each, and are stored around it
+        # the excerpt statement and the api_final prompt hold the text once each, and store None for it
         for turn in (cote[0], cotapi[0], cotapi[2]):
-            assert len(turn["prompt"]) == 2
-            assert not any(text in json.dumps(part) for part in turn["prompt"])
+            assert turn["prompt"].count(None) == 1
+            assert not any(text in json.dumps(piece) for piece in turn["prompt"])
         expanded = [record["transcript"] for record in expand_transcripts(records, [inst])]
         assert "unknown function: '" + text + "'" in expanded[1][2]["prompt"]
         assert text in expanded[0][0]["prompt"] and text in expanded[1][0]["prompt"]
@@ -892,6 +898,31 @@ class TestConfidence:
         script.write_text(json.dumps({"Task: When did": '```json\n{"score": 0.9}\n```'}))
         assert run_cli("confidence", "--input", str(tasks), "--mock", str(script)) == 0
         assert "Accuracy: 100.0%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--mock", "oracle", "--base-url", "http://x", "--model", "m"], []],
+                             ids=["mock-and-endpoint", "neither"])
+    def test_needs_exactly_one_of_mock_and_endpoint(self, workspace, capsys, argv):
+        """As in eval, a usage error before any task is read or any model asked."""
+        tasks = self._write_tasks(workspace)
+        assert run_cli("confidence", "--input", str(tasks), *argv) == 2
+        assert capsys.readouterr().err == "error: provide exactly one of --mock or a live endpoint (--base-url/--model)\n"
+
+    @pytest.mark.parametrize("config, expected", [("", ("mock", 0.0, 1024)),
+                                                  ("model = m\ntemperature = 0.7\nmax_tokens = 99\n", ("m", 0.7, 99))])
+    def test_model_settings_come_from_the_config(self, workspace, monkeypatch, config, expected):
+        """Each call is sent with the config's model, temperature and max_tokens, or the defaults."""
+        tasks = self._write_tasks(workspace)
+        (workspace / "conf.txt").write_text(config)
+        calls = []
+
+        class RecordingClient:
+            def complete(self, messages, **kwargs):
+                calls.append((kwargs["model"], kwargs["temperature"], kwargs["max_tokens"]))
+                return '```json\n{"score": 0.9}\n```'
+
+        monkeypatch.setattr(tkgqa.cli, "make_mock_client", lambda kind: RecordingClient())
+        assert run_cli("confidence", "--input", str(tasks), "--mock", "oracle", "--config", "conf.txt") == 0
+        assert calls == [expected] * 2
 
     def test_missing_actual_label(self, workspace, capsys):
         tasks = workspace / "tasks.jsonl"

@@ -29,13 +29,13 @@ PINS = {
     "oracle": {
         "rows": "5ad7075ac084c51da7ba5a7621a01b0f59c1fa99410175b3c8d0931b1f155439",
         "report": "cbc965b7da0b9b72e309958cb8c3403d15ed3a1babd97a18606344d5e9a35f62",
-        "transcripts": "87555d193219679ab8e34e49a5c7faab602c02a476cd54fec97d104085e369a3",
+        "transcripts": "5d2873aa7c2930906977c7eb25a32afab045a665c4317db43565b2ffe0fcb1cf",
         "expanded": "44f035b13f9d2488e8779875efaad35783ea103746c07f316bba6fdc2f876672",
     },
     "random": {
         "rows": "e81477875b24a30e126baa11ecee2cb9a108a93397ffb215a8c286c09a4ef565",
         "report": "0cb7181ab88122aa39c2832075fe9f22846e624b5a9a1ffee3d4df7a03567799",
-        "transcripts": "afb567f9c28bbcd7f5f63fae5938f1dcfcf39181eaadbde7976c6fd46fdb4ed6",
+        "transcripts": "f1c31e57e28a27d8566eb45186998ebeee42ddc9a24d040747bce4a6350b03be",
         "expanded": "6cbb12f741dfa201666b8fc1023650a2d985c58e90fa06e6781c552152bde27b",
     },
 }

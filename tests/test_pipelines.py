@@ -798,8 +798,21 @@ def instances_10k():
     return generate_instances(g, per_type=1, types=types, seed=3)
 
 
+def parts_of(stored) -> list[str]:
+    """The strings between a stored prompt's ``None`` pieces, each joined: ``prompt.split(text)`` when
+    every copy of the text was cut out."""
+    parts = [""]
+    for piece in stored:
+        if piece is None:
+            parts.append("")
+        else:
+            parts[-1] += piece
+    return parts
+
+
 class TestTranscriptRecord:
-    """A turn keeps each prompt as its parts around the instance's text; expand_transcripts joins them."""
+    """A turn keeps each prompt as its pieces, ``None`` for each copy of the instance's text;
+    expand_transcripts joins them."""
 
     @staticmethod
     def stored_and_expanded(result, inst):
@@ -815,7 +828,7 @@ class TestTranscriptRecord:
             record, expanded = self.stored_and_expanded(result, inst)
             assert expanded == received(result, client)
             pieces = [value for where, value in stored_strings([record]) if len(where) > 2 and isinstance(value, str)]
-            assert not any(inst.tkg_text in piece or pipelines._schema_text() in piece for piece in pieces)
+            assert not any(inst.tkg_text in piece for piece in pieces)
 
     def test_text_echoed_into_later_prompts(self, default_instances):
         inst = by_type(default_instances, "timeline")
@@ -831,7 +844,7 @@ class TestTranscriptRecord:
         record, expanded = self.stored_and_expanded(result, inst)
         assert expanded == received(result, client)
         # at most four copies: the statement's, and three in a depth-2 state "text -> text + text"
-        assert max(len(turn["prompt"]) for turn in record["transcript"]) == 5
+        assert max(turn["prompt"].count(None) for turn in record["transcript"]) == 4
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_empty_text(self, default_instances, technique):
@@ -841,27 +854,21 @@ class TestTranscriptRecord:
         client = RecordingClient(OracleMockClient(inst))
         result = run(inst, technique, client)
         record, expanded = self.stored_and_expanded(result, inst)
-        schema = pipelines._schema_text()
-        assert [turn["prompt"] for turn in record["transcript"]] == [
-            [prompt.split(schema) if schema in prompt else prompt] for prompt in client.prompts
-        ]
+        assert not any(None in turn["prompt"] for turn in record["transcript"])
+        assert ["".join(turn["prompt"]) for turn in result.transcript] == client.prompts
         assert expanded == received(result, client)
 
 
 class TestTurnMemory:
-    """A job holds each full prompt only while it is asked; its turns keep the stored parts."""
+    """A job holds each full prompt only while it is asked; its turns keep the stored pieces."""
 
-    def test_no_stored_part_holds_the_text(self, instances_10k):
+    def test_no_stored_piece_holds_the_text(self, instances_10k):
         inst = instances_10k[0]
         result = run(inst, "tot", OracleMockClient(inst))
         assert result.llm_calls == len(result.transcript) == 14
-        assert all(len(turn["prompt"]) == 2 for turn in result.transcript)  # each prompt carried the text once
-        assert not any(
-            inst.tkg_text in piece
-            for turn in result.transcript
-            for part in turn["prompt"]
-            for piece in (part if isinstance(part, list) else [part])
-        )
+        assert all(turn["prompt"].count(None) == 1 for turn in result.transcript)  # each prompt carried the text once
+        pieces = [piece for turn in result.transcript for piece in turn["prompt"] if piece is not None]
+        assert not any(inst.tkg_text in piece for piece in pieces)
 
     def test_peak_stays_near_one_copy_of_the_text(self, instances_10k):
         """The prompt being asked, as the statement is kept as its pieces: 1.04x the text at 10k
@@ -880,19 +887,16 @@ class TestTurnMemory:
 
 
 def _piece_cases():
-    """(pieces, text) pairs whose pieces are whole, cut and stray copies of the text and of the schema text."""
-    schema = pipelines._schema_text()
-
-    def copies(needle):
-        return [
-            st.just(needle),  # the very object, as the fill places it
-            st.just(needle).map(lambda s: "".join(list(s))),  # an equal string found by search
-            st.integers(0, len(needle)).map(lambda k: needle[:k]),
-            st.integers(0, len(needle)).map(lambda k: needle[k:]),
-        ]
+    """(pieces, text) pairs whose pieces are whole, cut and stray copies of the text."""
 
     def cases(text):
-        piece = st.one_of(*copies(text), *copies(schema), st.text(alphabet="ab.", max_size=3))
+        piece = st.one_of(
+            st.just(text),  # the very object, as the fill places it
+            st.just(text).map(lambda s: "".join(list(s))),  # an equal string found by search
+            st.integers(0, len(text)).map(lambda k: text[:k]),
+            st.integers(0, len(text)).map(lambda k: text[k:]),
+            st.text(alphabet="ab.", max_size=3),
+        )
         return st.tuples(st.lists(piece, max_size=6), st.just(text))
 
     short = st.text(alphabet="ab", min_size=1, max_size=5)
@@ -905,12 +909,11 @@ def _piece_cases():
     return st.one_of(short, long).flatmap(cases)
 
 
-def _copies_in_one_piece(pieces, string, needle, offset=0):
-    """Whether each copy of ``needle`` that ``string.split`` cuts at, ``string`` starting at
-    ``offset`` of the pieces' join, lies whole in one piece."""
+def _copies_in_one_piece(pieces, needle):
+    """Whether each copy of ``needle`` that ``str.split`` cuts the pieces' join at lies whole in one piece."""
     ends = list(itertools.accumulate(map(len, pieces)))
-    at = offset
-    for cut in string.split(needle)[:-1]:
+    at = 0
+    for cut in "".join(pieces).split(needle)[:-1]:
         at += len(cut)
         end = ends[bisect.bisect_right(ends, at)]  # the end of the piece the copy starts in
         if at + len(needle) > end:
@@ -920,23 +923,18 @@ def _copies_in_one_piece(pieces, string, needle, offset=0):
 
 
 class TestStoredPrompt:
-    """A prompt's stored parts join back to it, and are ``prompt.split(text)``, each part holding the
-    schema text split around that, unless a copy spans two pieces."""
+    """A prompt's stored pieces join back to it with the text for each ``None``, and the strings between
+    those are ``prompt.split(text)``, unless a copy spans two pieces."""
 
     @settings(max_examples=1000, deadline=None)
     @given(_piece_cases())
     def test_parts_of_the_pieces(self, case):
         pieces, text = case
-        schema = pipelines._schema_text()
         prompt = "".join(pieces)
         stored = pipelines._stored_prompt(pieces, text)
-        assert text.join(schema.join(part) if isinstance(part, list) else part for part in stored) == prompt
-        parts = prompt.split(text)
-        offsets = itertools.accumulate((len(part) + len(text) for part in parts), initial=0)
-        if _copies_in_one_piece(pieces, prompt, text) and all(
-            _copies_in_one_piece(pieces, part, schema, at) for part, at in zip(parts, offsets)
-        ):
-            assert stored == [part.split(schema) if schema in part else part for part in parts]
+        assert "".join(text if piece is None else piece for piece in stored) == prompt
+        if _copies_in_one_piece(pieces, text):
+            assert parts_of(stored) == prompt.split(text)
 
     LONG = "q" * 64 + "rst"
 
@@ -959,12 +957,12 @@ class TestStoredPrompt:
         ],
     )
     def test_fixed_cases(self, prompt, text):
-        """A prompt of one piece is cut as ``str.split`` cuts it, and so is one with each of those
-        copies placed as the text itself."""
+        """A prompt of one piece is cut as ``str.split`` cuts it, and one with each of those copies placed
+        as the text itself keeps its pieces, with ``None`` for each placed copy."""
         parts = prompt.split(text)
         placed = [piece for part in parts for piece in (part, text)][:-1]
-        assert pipelines._stored_prompt([prompt], text) == parts
-        assert pipelines._stored_prompt(placed, text) == parts
+        assert parts_of(pipelines._stored_prompt([prompt], text)) == parts
+        assert pipelines._stored_prompt(placed, text) == [None if piece is text else piece for piece in placed]
 
     def test_text_echoed_across_two_pieces(self, default_instances):
         """An option that echoes the text without its final ``.``, placed in a state that the template
@@ -988,9 +986,9 @@ class TestStoredPrompt:
         ]
         assert straddled
         for turn, prompt in straddled:
-            assert turn["prompt"] != prompt.split(text)
+            assert parts_of(turn["prompt"]) != prompt.split(text)
             # the statement's copy is cut out; the echo's is kept, in the one part that holds the text
-            [part] = [part for part in turn["prompt"] if text in part]
+            [part] = [part for part in parts_of(turn["prompt"]) if text in part]
             assert f"Reasoning state: {text[:-1]}. Provide" in part
 
 
@@ -1110,10 +1108,19 @@ class TestTranscriptsFile:
         assert_stored_once(records, results)
         restatements = [t["reply"] for r in records for t in r["transcript"] if t["step"] == "structure_data"]
         assert sum(isinstance(reply, str) for reply in restatements) == 1 and len(restatements) == 2 * len(insts)
+        texts = {inst.id: inst.tkg_text for inst in insts}
+        for record in records:  # each prompt piece is the text (None), a string without it, or a reference
+            for piece in (piece for turn in record["transcript"] for piece in turn["prompt"]):
+                assert piece is None or (
+                    texts[record["instance_id"]] not in piece if isinstance(piece, str)
+                    else len(piece) in (2, 3) and all(type(i) is int for i in piece)
+                )
+        schema = pipelines._schema_text()
+        assert sum(schema in value for _, value in stored_strings(records) if isinstance(value, str)) == 1
 
     def test_distinct_replies_are_stored_in_full(self, default_instances):
-        """With no repeated reply, a line is no longer than one that keeps the schema text and every
-        prompt part in full, and shorter exactly when it left one of them out."""
+        """With no repeated reply, every reply is stored in full, and a line is no longer than its turns
+        with every piece in full, and shorter exactly when a piece refers back."""
         counter = iter(range(10**6))
 
         class DistinctClient:
@@ -1124,15 +1131,12 @@ class TestTranscriptsFile:
                 return fenced({"answer": f"E{next(counter)}", "name": "timeline", "arguments": {"s": "E1"}})
 
         jobs = [(inst, tech) for tech in ("direct", "tot", "cotapi", "cotapi_s") for inst in default_instances]
-        _, records, transcripts = self.write(jobs, DistinctClient)
-        schema = pipelines._schema_text()
-        for record, transcript, (inst, _) in zip(records, transcripts, jobs):
+        results, records, _ = self.write(jobs, DistinctClient)
+        for record, result in zip(records, results, strict=True):
             assert all(isinstance(turn["reply"], str) for turn in record["transcript"])
-            unsplit = [{**turn, "prompt": turn["prompt"].split(inst.tkg_text)} for turn in transcript]
-            stored, unstored = len(json.dumps(record)), len(json.dumps({**record, "transcript": unsplit}))
-            left_out = any(not isinstance(value, str) for _, value in stored_strings([record]))
-            left_out = left_out or any(schema in turn["prompt"] for turn in transcript)
-            assert stored <= unstored and (stored < unstored) == left_out
+            stored, full = len(json.dumps(record)), len(json.dumps({**record, "transcript": result.transcript}))
+            referred = any(not isinstance(value, str) for _, value in stored_strings([record]))
+            assert stored <= full and (stored < full) == referred
 
     @pytest.mark.parametrize("reply, stored", [("abcd", ["abcd"] * 3), ("abcde", ["abcde", (0, 0), (0, 0)])])
     def test_reference_only_when_shorter(self, default_instances, reply, stored):
@@ -1146,7 +1150,7 @@ class TestTranscriptsFile:
 
     @pytest.mark.parametrize("reply, part", [("[0, 0]", "[0, 0, 1]"), ("[0, 0, 1]", "[0, 0]")])
     def test_strings_that_read_as_references(self, default_instances, reply, part):
-        """A reply, a prompt part and an echoed JSON array that read as a reference stay strings."""
+        """A reply, a prompt piece and an echoed JSON array that read as a reference stay strings."""
         inst = by_type(default_instances, "timeline")
         text = inst.tkg_text
         replies = {
@@ -1160,10 +1164,12 @@ class TestTranscriptsFile:
         assert [record["transcript"] for record in expand_transcripts(records, [inst])] == transcripts
         assert_stored_once(records, results)
         stored = dict(stored_strings(records))
-        assert stored[0, 2] == reply and stored[0, 2, 2] == part  # the first tot_evaluate turn, as strings
+        # the first tot_evaluate turn, as strings: its state is cut around the text to leave ``part``
+        assert stored[0, 2] == reply and part in [value for where, value in stored.items() if where[:2] == (0, 2)]
 
     def test_reply_that_echoes_its_prompt(self, default_instances):
-        """A turn's parts come before its reply, so a reply equal to its own prompt refers to that prompt."""
+        """A turn's pieces come before its reply, so a reply equal to a piece of its own prompt refers to it:
+        the cot_2 and cot_3 prompts are one piece each."""
         inst = dataclasses.replace(by_type(default_instances, "timeline"), tkg=TKG())
 
         class EchoClient:
@@ -1176,17 +1182,28 @@ class TestTranscriptsFile:
         results, records, transcripts = self.write([(inst, "cot")], EchoClient)
         assert [record["transcript"] for record in expand_transcripts(records, [inst])] == transcripts
         assert_stored_once(records, results)
-        assert [turn["reply"] for turn in records[0]["transcript"]] == [[0, turn, 0] for turn in range(3)]
+        first, *later = [turn["reply"] for turn in records[0]["transcript"]]
+        assert first == transcripts[0][0]["prompt"] and later == [[0, 1, 0], [0, 2, 0]]
 
     def test_schema_pieces_repeated_across_jobs(self, default_instances):
-        """The ``api_select`` prompt, the same in every job, stores its schema pieces by reference after line 0."""
+        """The ``api_select`` prompt, the same in every job, is held in full on line 0 and by reference after."""
         results, records, transcripts = self.write([(inst, "cotapi") for inst in default_instances])
         assert [record["transcript"] for record in expand_transcripts(records, default_instances)] == transcripts
         assert_stored_once(records, results)
         assert {record["transcript"][1]["step"] for record in records} == {"api_select"}
-        [[*pieces]], *later = [record["transcript"][1]["prompt"] for record in records]
-        assert len(pieces) == 2 and all(isinstance(piece, str) for piece in pieces)
-        assert later == [[[[0, 1, 0, 0], [0, 1, 0, 1]]]] * (len(records) - 1)
+        first, *later = [record["transcript"][1]["prompt"] for record in records]
+        assert all(isinstance(piece, str) for piece in first) and pipelines._schema_text() in first
+        assert later == [[[0, 1, k] for k in range(len(first))]] * (len(records) - 1)
+
+    def test_expands_to_the_prompts_sent_after_the_schema_text_changes(self, default_instances, monkeypatch):
+        """A file holds the schema text its prompts carried, once, so it still expands to the prompts the
+        client received when the solvers' descriptions, and so the reading code's schema text, change."""
+        jobs = [(inst, tech) for tech in ("cotapi", "cotapi_s") for inst in default_instances]
+        _, records, transcripts = self.write(jobs)
+        schema = pipelines._schema_text()
+        assert sum(schema in value for _, value in stored_strings(records) if isinstance(value, str)) == 1
+        monkeypatch.setattr(pipelines, "_schema_text", lambda: "a schema that no prompt carried")
+        assert [record["transcript"] for record in expand_transcripts(records, default_instances)] == transcripts
 
 
 class TestSteps:

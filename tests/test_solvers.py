@@ -5,6 +5,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tkgqa.answers import Answer, FunctionCall
 from tkgqa.errors import (
@@ -15,7 +16,7 @@ from tkgqa.errors import (
     UnknownFunctionError,
 )
 from tkgqa.generator import sample_call
-from tkgqa.graph import TKG
+from tkgqa.graph import TKG, Fact
 from tkgqa.oracle import oracle_answer
 from tkgqa import pipelines, solvers
 from tkgqa.solvers import dispatch, function_names, function_spec, function_specs, schema_bundle
@@ -291,6 +292,56 @@ class TestOracleEquivalence:
         ]
         for fn_call in bad_calls:
             assert _outcome(dispatch, fixture_a, fn_call) == _outcome(oracle_answer, fixture_a, fn_call)
+
+
+def _shifted_call(fn_call, k):
+    """``fn_call`` with its year arguments, ``t`` and ``window``, moved by ``k``."""
+    args = dict(fn_call.arguments)
+    if "t" in args:
+        args["t"] += k
+    if "window" in args:
+        args["window"] = [year + k for year in args["window"]]
+    return FunctionCall(fn_call.name, args)
+
+
+def _shifted_outcome(outcome, k):
+    """A year or an interval moved by ``k``; any other answer, or an error, as it is."""
+    if isinstance(outcome, Answer) and outcome.kind == "time_point":
+        return Answer("time_point", outcome.value + k)
+    if isinstance(outcome, Answer) and outcome.kind == "time_interval":
+        return Answer("time_interval", [year + k for year in outcome.value])
+    return outcome
+
+
+def _sampled_call(seed, name):
+    """A small random graph and a call of ``name`` sampled over it; the example is skipped if none fits."""
+    g = random_graph(seed)
+    fn_call = sample_call(random.Random(seed), g, name)
+    assume(fn_call is not None)
+    return g, fn_call
+
+
+@pytest.mark.parametrize("fn", [dispatch, oracle_answer], ids=["dispatch", "oracle"])
+class TestMetamorphic:
+    """Relations between the answers over a graph and over a transformed copy, for the solvers and the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), name=st.sampled_from(function_names()), k=st.integers(-1000, 1000),
+           endpoint=st.sampled_from(["start", "end", "interval"]))
+    def test_shifting_every_year_shifts_only_year_answers(self, fn, seed, name, k, endpoint):
+        g, fn_call = _sampled_call(seed, name)
+        if "endpoint" in fn_call.arguments:  # sampled calls ask for a year; ask for an interval too
+            fn_call = FunctionCall(name, {**fn_call.arguments, "endpoint": endpoint})
+        moved = TKG([Fact(f.s, f.r, f.o, f.t0 + k, f.t1 + k) for f in g.facts])
+        assert _outcome(fn, moved, _shifted_call(fn_call, k)) == _shifted_outcome(_outcome(fn, g, fn_call), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), name=st.sampled_from(function_names()), order=st.randoms(use_true_random=False))
+    def test_fact_order_changes_no_answer(self, fn, seed, name, order):
+        g, fn_call = _sampled_call(seed, name)
+        facts = list(g.facts)
+        order.shuffle(facts)
+        assert _outcome(fn, TKG(facts), fn_call) == _outcome(fn, g, fn_call)
 
 
 class TestDeterminism:
